@@ -56,7 +56,6 @@ from .placement import (
     inverse_placement,
     parse_placement,
     pattern_witness,
-    s_grid,
     s_sequence,
 )
 
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Board", "BorderPath", "Vertex", "parse_board",
     "Placement", "FullPlacement", "Pattern", "PATTERN_231", "PATTERN_312",
-    "avoids", "pattern_witness", "s_grid", "s_sequence", "inverse_placement",
+    "avoids", "pattern_witness", "s_sequence", "inverse_placement",
     "parse_placement", "format_placement",
     "ConditionReport", "Violation", "check_231", "check_312",
     "parse_sequence", "format_sequence",

@@ -126,14 +126,16 @@ class Board:
         non-maximal diagonals.
         """
         verts = self.border_path.vertices
+        index = {v: i for i, v in enumerate(verts)}
+        heights = self.heights
         pairs = []
-        for i, (x1, y1) in enumerate(verts):
-            for j in range(i + 1, len(verts)):
-                x2, y2 = verts[j]
-                d = x2 - x1
-                if d >= 1 and y1 - y2 == d and all(
-                    self.contains_square(x1 + k + 1, y1 - k) for k in range(d)
-                ):
+        for i, (x, y) in enumerate(verts):
+            # Step down the diagonal while the square crossed is on the board.
+            while x < self.n_cols and 1 <= y <= heights[x]:
+                x += 1
+                y -= 1
+                j = index.get((x, y))
+                if j is not None:
                     pairs.append((i, j))
         return tuple(pairs)
 

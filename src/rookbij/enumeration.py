@@ -1,4 +1,4 @@
-"""Exhaustive generators, brute-force oracles, and verification sweeps.
+"""Exhaustive generators and verification sweeps.
 
 All streams are deterministic: placements and sequences come out in
 lexicographic order and board sweeps in (column count, heights) order, so
@@ -7,8 +7,8 @@ sweep reports are reproducible regardless of parallelism.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from itertools import combinations
 from time import perf_counter
 from typing import Iterable, Iterator
 
@@ -37,7 +37,7 @@ from .placement import (
 
 THEOREM_TAGS = ("l1", "t1", "t2", "t4", "remark")
 
-# Sweep sizes chosen so a full run stays within a few minutes single-threaded.
+# Sweep sizes chosen so a full run stays within a few seconds single-threaded.
 DEFAULT_BOUNDS = {"l1": 5, "t1": 5, "t2": 5, "t4": 5, "remark": 4}
 
 
@@ -152,38 +152,6 @@ def valid_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]
     if profile[0] != 0:
         return
     yield from extend(1)
-
-
-def lis_in_rectangle(markers: Iterable[tuple[int, int]], x: int, y: int) -> int:
-    """Brute-force longest increasing chain among markers with col <= x, row <= y.
-
-    Independent oracle for the growth-rule grid: a direct chain DP over the
-    marker list, no border bookkeeping.
-    """
-    pts = sorted((c, r) for c, r in markers if c <= x and r <= y)
-    best = [1] * len(pts)
-    for i, (_, r) in enumerate(pts):
-        for j in range(i):
-            if pts[j][1] < r and best[j] + 1 > best[i]:
-                best[i] = best[j] + 1
-    return max(best, default=0)
-
-
-def avoids_by_border_definition(board: Board, placement, pattern: Pattern) -> bool:
-    """Avoidance checked literally vertex by vertex along the border.
-
-    Oracle for the bounding-vertex shortcut used by ``avoids``.
-    """
-    placement.validate_on(board)
-    k = len(pattern.word)
-    for v in board.border_path.vertices:
-        inside = sorted((c, r) for c, r in placement.markers if c <= v.x and r <= v.y)
-        for combo in combinations(inside, k):
-            rows = tuple(r for _, r in combo)
-            order = sorted(rows)
-            if tuple(order.index(r) + 1 for r in rows) == pattern.word:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -409,8 +377,9 @@ def verify(boards: Board | Iterable[Board], theorem: str = "all",
     """Run verification sweeps; any counterexample is reported verbatim.
 
     ``boards`` may be a single board or an iterable; ``theorem`` is one of
-    the tags in THEOREM_TAGS or "all".  Reports are merged in board order, so
-    output does not depend on ``parallel``.
+    the tags in THEOREM_TAGS or "all".  ``parallel`` worker processes are
+    started, at most one per board and per CPU.  Reports are merged in board
+    order, so output does not depend on ``parallel``.
     """
     if isinstance(boards, Board):
         boards = [boards]
@@ -423,10 +392,11 @@ def verify(boards: Board | Iterable[Board], theorem: str = "all",
         raise ValueError(f"unknown theorem tag {theorem!r}")
     start = perf_counter()
     failures: list[Failure] = []
-    if parallel > 1 and len(boards) > 1:
+    workers = min(parallel, len(boards), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from functools import partial
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for batch in pool.map(partial(_board_failures, tags=tags), boards):
                 failures.extend(batch)
     else:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 
-from .board import Board, Vertex
+from .board import Board
 from .errors import InvalidPlacement, ParseError
 
 
@@ -23,6 +23,19 @@ class Pattern:
 
     def __str__(self) -> str:
         return "".join(str(v) for v in self.word)
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int | None, int | None], ...]:
+        """Per position d: the earlier positions holding the next smaller and
+        the next larger value than ``word[d]``, or None where there is none."""
+        word = self.word
+        out = []
+        for d, v in enumerate(word):
+            below = [t for t in range(d) if word[t] < v]
+            above = [t for t in range(d) if word[t] > v]
+            out.append((max(below, key=word.__getitem__, default=None),
+                        min(above, key=word.__getitem__, default=None)))
+        return tuple(out)
 
     @classmethod
     def parse(cls, text: str) -> Pattern:
@@ -110,49 +123,75 @@ def pattern_witness(board: Board, placement, pattern: Pattern):
     Using the bounding vertex (max column, max row) is equivalent to checking
     the restriction to R(V) for every border vertex V, since the rectangles
     R(V) are exactly the maximal rectangles inside the board.
+
+    Depth-first over the column-sorted markers in ``combinations`` order, so
+    the witness is the first such tuple.  A marker is taken only when its row
+    keeps the chosen rows order-isomorphic to the pattern prefix, and a scan
+    stops at the first column lower than the highest row chosen so far: later
+    columns are no taller, so no completion could have its bounding square on
+    the board.
     """
     markers = sorted(_validated_markers(board, placement))
-    k = len(pattern.word)
-    for combo in combinations(markers, k):
-        rows = tuple(r for _, r in combo)
-        if not board.contains_square(combo[-1][0], max(rows)):
-            continue
-        order = sorted(rows)
-        if tuple(order.index(r) + 1 for r in rows) == pattern.word:
-            return combo
-    return None
+    heights = board.heights
+    neighbours = pattern.neighbours
+    k = len(neighbours)
+    chosen: list[tuple[int, int]] = []
+
+    def search(start: int, top: int):
+        d = len(chosen)
+        if d == k:
+            return tuple(chosen)
+        below, above = neighbours[d]
+        lo = chosen[below][1] if below is not None else 0
+        hi = chosen[above][1] if above is not None else board.n_rows + 1
+        for j in range(start, len(markers) - k + d + 1):
+            marker = markers[j]
+            col, row = marker
+            if heights[col - 1] < top:
+                break
+            if lo < row < hi:
+                chosen.append(marker)
+                found = search(j + 1, max(top, row))
+                if found is not None:
+                    return found
+                chosen.pop()
+        return None
+
+    return search(0, 0)
 
 
 def avoids(board: Board, placement, pattern: Pattern) -> bool:
     return pattern_witness(board, placement, pattern) is None
 
 
-def s_grid(board: Board, placement) -> dict[Vertex, int]:
-    """Longest increasing marker chain inside R(V), for every vertex V of the board.
-
-    Computed by the local growth rule: zero along the left and bottom edges;
-    a marked square forces NE = SW + 1, an unmarked square NE = max(NW, SE).
-    """
-    markers = _validated_markers(board, placement)
-    values: dict[Vertex, int] = {}
-    for x in range(board.n_cols + 1):
-        values[Vertex(x, 0)] = 0
-    for y in range(board.n_rows + 1):
-        values[Vertex(0, y)] = 0
-    for col in range(1, board.n_cols + 1):
-        for row in range(1, board.heights[col - 1] + 1):
-            if (col, row) in markers:
-                v = values[Vertex(col - 1, row - 1)] + 1
-            else:
-                v = max(values[Vertex(col - 1, row)], values[Vertex(col, row - 1)])
-            values[Vertex(col, row)] = v
-    return values
-
-
 def s_sequence(board: Board, placement) -> tuple[int, ...]:
-    """The chain statistic read along the border, top-left corner first."""
-    grid = s_grid(board, placement)
-    return tuple(grid[v] for v in board.border_path.vertices)
+    """The chain statistic read along the border, top-left corner first.
+
+    The value at vertex V is the longest increasing marker chain inside R(V).
+    Columns are swept left to right by the local growth rule, keeping only
+    the previous column: zero along the left and bottom edges; a marked
+    square forces NE = SW + 1, an unmarked square NE = max(NW, SE).  Column
+    values never decrease upwards, so below the marker NE = NW, and above it
+    NE = max(NW, marker value), which is NW from the first row where NW
+    reaches the marker value.  Each column's border vertices are read as the
+    sweep passes them.
+    """
+    row_of = dict(_validated_markers(board, placement))
+    heights = board.heights
+    prev = [0] * (board.n_rows + 1)
+    out = [0]
+    for col, height in enumerate(heights, start=1):
+        cur = prev[:height + 1]
+        row = row_of.get(col)
+        if row is not None:
+            value = prev[row - 1] + 1
+            while row <= height and cur[row] < value:
+                cur[row] = value
+                row += 1
+        lowest = heights[col] if col < len(heights) else 0
+        out.extend(reversed(cur[lowest:]))
+        prev = cur
+    return tuple(out)
 
 
 def inverse_placement(board: Board, placement: FullPlacement) -> FullPlacement:

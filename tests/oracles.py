@@ -1,0 +1,104 @@
+"""Slow, direct implementations that the tests hold the library against.
+
+Each one computes its answer the most literal way: per-square grids, every
+marker combination, every vertex pair.  None is used by the library.
+"""
+
+from itertools import combinations
+from typing import Iterable
+
+from rookbij.board import Board, Vertex
+from rookbij.placement import Pattern
+
+
+def s_grid(board: Board, placement) -> dict[Vertex, int]:
+    """Longest increasing marker chain inside R(V), for every vertex V of the board.
+
+    Computed by the local growth rule: zero along the left and bottom edges;
+    a marked square forces NE = SW + 1, an unmarked square NE = max(NW, SE).
+    """
+    placement.validate_on(board)
+    markers = placement.markers
+    values: dict[Vertex, int] = {}
+    for x in range(board.n_cols + 1):
+        values[Vertex(x, 0)] = 0
+    for y in range(board.n_rows + 1):
+        values[Vertex(0, y)] = 0
+    for col in range(1, board.n_cols + 1):
+        for row in range(1, board.heights[col - 1] + 1):
+            if (col, row) in markers:
+                v = values[Vertex(col - 1, row - 1)] + 1
+            else:
+                v = max(values[Vertex(col - 1, row)], values[Vertex(col, row - 1)])
+            values[Vertex(col, row)] = v
+    return values
+
+
+def border_values(board: Board, placement) -> tuple[int, ...]:
+    """The ``s_grid`` values read along the border, top-left corner first."""
+    grid = s_grid(board, placement)
+    return tuple(grid[v] for v in board.border_path.vertices)
+
+
+def lis_in_rectangle(markers: Iterable[tuple[int, int]], x: int, y: int) -> int:
+    """Brute-force longest increasing chain among markers with col <= x, row <= y.
+
+    Independent oracle for the growth-rule grid: a direct chain DP over the
+    marker list, no border bookkeeping.
+    """
+    pts = sorted((c, r) for c, r in markers if c <= x and r <= y)
+    best = [1] * len(pts)
+    for i, (_, r) in enumerate(pts):
+        for j in range(i):
+            if pts[j][1] < r and best[j] + 1 > best[i]:
+                best[i] = best[j] + 1
+    return max(best, default=0)
+
+
+def _order_isomorphic(combo, pattern: Pattern) -> bool:
+    rows = tuple(r for _, r in combo)
+    order = sorted(rows)
+    return tuple(order.index(r) + 1 for r in rows) == pattern.word
+
+
+def pattern_witness_by_scan(board: Board, placement, pattern: Pattern):
+    """First marker tuple, in ``combinations`` order, order-isomorphic to
+    ``pattern`` with its bounding square on the board; None if there is none."""
+    placement.validate_on(board)
+    markers = sorted(placement.markers)
+    for combo in combinations(markers, len(pattern.word)):
+        if not board.contains_square(combo[-1][0], max(r for _, r in combo)):
+            continue
+        if _order_isomorphic(combo, pattern):
+            return combo
+    return None
+
+
+def avoids_by_border_definition(board: Board, placement, pattern: Pattern) -> bool:
+    """Avoidance checked literally vertex by vertex along the border.
+
+    Oracle for the bounding-vertex shortcut used by ``avoids``.
+    """
+    placement.validate_on(board)
+    k = len(pattern.word)
+    for v in board.border_path.vertices:
+        inside = sorted((c, r) for c, r in placement.markers if c <= v.x and r <= v.y)
+        if any(_order_isomorphic(combo, pattern) for combo in combinations(inside, k)):
+            return False
+    return True
+
+
+def diagonal_pairs_by_scan(board: Board) -> tuple[tuple[int, int], ...]:
+    """Every pair of border indices (i, j), i < j, tested for an in-board
+    slope -1 segment square by square."""
+    verts = board.border_path.vertices
+    pairs = []
+    for i, (x1, y1) in enumerate(verts):
+        for j in range(i + 1, len(verts)):
+            x2, y2 = verts[j]
+            d = x2 - x1
+            if d >= 1 and y1 - y2 == d and all(
+                board.contains_square(x1 + k + 1, y1 - k) for k in range(d)
+            ):
+                pairs.append((i, j))
+    return tuple(pairs)

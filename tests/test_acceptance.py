@@ -25,7 +25,6 @@ from rookbij.enumeration import (
     boards_within,
     count_avoiders,
     full_placements,
-    lis_in_rectangle,
     rook_placements,
     valid_sequences,
 )
@@ -35,9 +34,9 @@ from rookbij.placement import (
     FullPlacement,
     Placement,
     avoids,
-    s_grid,
     s_sequence,
 )
+from oracles import lis_in_rectangle, s_grid
 
 CATALAN = [1, 2, 5, 14, 42, 132]
 

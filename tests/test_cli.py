@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +157,22 @@ def test_malformed_inputs_exit_2(capsys):
     assert run(capsys, "count", "--board", "2,2", "--pattern", "122")[0] == 2
     assert run(capsys, "verify", "--max-n", "0")[0] == 2
     assert run(capsys, "verify", "--max-n", "2", "--parallel", "0")[0] == 2
+
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # build_parser is cached, so each call after the first reuses one parser
+    calls = [
+        ["map", "--board", "3,3,3", "--placement", "123", "--alpha"],
+        ["verify", "--max-n", "2", "--parallel", "0"],
+        ["map", "--board", "3,3,3", "--placement", "123"],
+        ["sequence", "--board", "3,3,2", "--placement", "2:1,3:2", "--json"],
+        ["map", "--board", "3,3,3", "--placement", "321", "--beta"],
+    ]
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "rookbij.cli", *argv],
+                               capture_output=True, text=True, timeout=60)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 JSON_ROUNDTRIP_CASES = [

@@ -1,3 +1,4 @@
+import concurrent.futures
 from itertools import combinations
 
 import pytest
@@ -9,12 +10,12 @@ from rookbij.enumeration import (
     count_avoiders,
     default_sweep,
     full_placements,
-    lis_in_rectangle,
     rook_placements,
     valid_sequences,
     verify,
 )
 from rookbij.placement import PATTERN_231, PATTERN_312, Pattern, avoids, s_sequence
+from oracles import lis_in_rectangle
 from strategies import boards
 
 
@@ -145,6 +146,35 @@ def test_verify_parallel_matches_serial():
     parallel = verify(sweep, "t4", parallel=2)
     assert serial.failures == parallel.failures
     assert serial.boards_checked == parallel.boards_checked
+
+
+
+@pytest.mark.parametrize("cpus,n_boards,expected", [
+    (3, 5, 3),     # capped by the CPU count
+    (8, 2, 2),     # capped by the number of boards
+    (None, 5, None),  # unknown CPU count: no pool
+])
+def test_verify_caps_worker_count(monkeypatch, cpus, n_boards, expected):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    report = verify(list(boards_within(2))[:n_boards], "l1", parallel=10**6)
+    assert report.boards_checked == n_boards and report.passed
+    assert started == ([] if expected is None else [expected])
 
 
 def test_verify_rejects_unknown_tag():

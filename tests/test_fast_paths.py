@@ -1,0 +1,59 @@
+"""Differential tests: each fast kernel against the slow scan it replaced."""
+
+from itertools import permutations
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from rookbij.board import Board
+from rookbij.enumeration import boards_within, rook_placements
+from rookbij.placement import Pattern, Placement, pattern_witness, s_sequence
+from oracles import border_values, diagonal_pairs_by_scan, pattern_witness_by_scan
+
+PATTERNS = [Pattern(word) for k in (1, 2, 3) for word in permutations(range(1, k + 1))]
+PATTERNS.append(Pattern((2, 4, 1, 3)))
+
+
+@pytest.fixture(scope="module")
+def placements_within_4():
+    return [(board, p) for board in boards_within(4) for p in rook_placements(board)]
+
+
+def test_s_sequence_matches_grid_within_4(placements_within_4):
+    for board, p in placements_within_4:
+        assert s_sequence(board, p) == border_values(board, p), (board, p)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=str)
+def test_pattern_witness_matches_scan_within_4(placements_within_4, pattern):
+    for board, p in placements_within_4:
+        assert pattern_witness(board, p, pattern) == \
+            pattern_witness_by_scan(board, p, pattern), (board, p)
+
+
+@st.composite
+def wide_rook_placements(draw):
+    heights = draw(st.lists(st.integers(1, 24), min_size=10, max_size=24))
+    board = Board(tuple(sorted(heights, reverse=True)))
+    markers = set()
+    free_rows = set(range(1, board.n_rows + 1))
+    for col, height in enumerate(board.heights, start=1):
+        rows = sorted(r for r in free_rows if r <= height)
+        if rows and draw(st.booleans()):
+            row = draw(st.sampled_from(rows))
+            free_rows.remove(row)
+            markers.add((col, row))
+    return board, Placement(frozenset(markers))
+
+
+@given(wide_rook_placements(), st.sampled_from(PATTERNS))
+def test_fast_paths_match_on_wide_boards(pair, pattern):
+    board, p = pair
+    assert s_sequence(board, p) == border_values(board, p)
+    assert pattern_witness(board, p, pattern) == pattern_witness_by_scan(board, p, pattern)
+
+
+def test_diagonal_pairs_match_scan_within_7():
+    for board in boards_within(7):
+        assert board.diagonal_pairs == diagonal_pairs_by_scan(board), board

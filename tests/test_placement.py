@@ -2,11 +2,7 @@ import pytest
 from hypothesis import given
 
 from rookbij.board import Board, Vertex
-from rookbij.enumeration import (
-    avoids_by_border_definition,
-    full_placements,
-    lis_in_rectangle,
-)
+from rookbij.enumeration import full_placements
 from rookbij.errors import InvalidPlacement, ParseError
 from rookbij.placement import (
     PATTERN_231,
@@ -18,9 +14,9 @@ from rookbij.placement import (
     format_placement,
     inverse_placement,
     parse_placement,
-    s_grid,
     s_sequence,
 )
+from oracles import avoids_by_border_definition, lis_in_rectangle, s_grid
 from strategies import boards_with_full_placement, boards_with_rook_placement
 
 B333 = Board((3, 3, 3))
@@ -53,6 +49,8 @@ def test_avoids_validates():
         avoids(B333, Placement({(1, 4)}), PATTERN_231)
     with pytest.raises(InvalidPlacement):
         s_grid(Board((2, 1)), FullPlacement((1, 2)))  # marker (2,2) off the board
+    with pytest.raises(InvalidPlacement):
+        s_sequence(Board((2, 1)), FullPlacement((1, 2)))
 
 
 @given(boards_with_rook_placement())
