@@ -11,6 +11,7 @@ extend them to arbitrary (partial) rook placements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .board import Board
 from .conditions import check_231, check_312
@@ -26,6 +27,7 @@ from .placement import (
     PATTERN_231,
     PATTERN_312,
     FullPlacement,
+    Pattern,
     Placement,
     inverse_placement,
     pattern_witness,
@@ -49,6 +51,52 @@ def plus_transform(board: Board, seq) -> tuple[int, ...]:
     return tuple(0 if s == 0 else n + 1 - s for s, n in zip(seq, profile))
 
 
+class _Side(NamedTuple):
+    """The operations on one side of the bijection, the avoiders of one pattern."""
+
+    check: Callable
+    reconstruct: Callable
+    map_general: Callable
+
+
+def _side(pattern: Pattern) -> _Side:
+    """The checker, reconstructor and general map of a pattern's side.
+
+    Resolved on every call, not kept in a table built at import, so a module
+    attribute replaced at run time (say, by a tracer) is the one called.
+    """
+    if pattern == PATTERN_231:
+        return _Side(check_231, reconstruct_231, alpha_general)
+    if pattern == PATTERN_312:
+        return _Side(check_312, reconstruct_312, beta_general)
+    raise ValueError(f"no condition checker for pattern {pattern}")
+
+
+def _require_avoider(board: Board, placement, pattern: Pattern) -> None:
+    witness = pattern_witness(board, placement, pattern)
+    if witness is not None:
+        markers = ",".join(f"({c},{r})" for c, r in witness)
+        raise NotAvoider(f"placement contains {pattern} at markers {markers}")
+
+
+def _checked_sequence(board: Board, seq, check: bool,
+                      checker: Callable) -> tuple[int, ...]:
+    """The sequence as a tuple, after the preconditions of a reconstruction:
+    its length, and with ``check`` a square-bounded board and ``checker``."""
+    seq = tuple(seq)
+    expected = board.n_cols + board.n_rows + 1
+    if len(seq) != expected:
+        raise LengthMismatch(f"sequence has {len(seq)} values, board needs {expected}")
+    if check:
+        if not board.square_bounded():
+            raise ConditionViolation(
+                "board's longest row and column differ; no full placement exists")
+        report = checker(board, seq)
+        if not report.verdict:
+            raise ConditionViolation("; ".join(report.lines()))
+    return seq
+
+
 def reconstruct_231(board: Board, seq, *, check: bool = True,
                     verify: bool = True) -> FullPlacement:
     """Rebuild the unique 231-avoiding full placement with the given border sequence.
@@ -62,18 +110,7 @@ def reconstruct_231(board: Board, seq, *, check: bool = True,
     ``check`` runs the 231-conditions up front; ``verify`` re-derives the
     sequence of the result as a self-check.
     """
-    seq = tuple(seq)
-    expected = board.n_cols + board.n_rows + 1
-    if len(seq) != expected:
-        raise LengthMismatch(f"sequence has {len(seq)} values, board needs {expected}")
-    if check:
-        if not board.square_bounded():
-            raise ConditionViolation(
-                "board's longest row and column differ; no full placement exists")
-        report = check_231(board, seq)
-        if not report.verdict:
-            raise ConditionViolation("; ".join(report.lines()))
-
+    seq = _checked_sequence(board, seq, check, check_231)
     heights = list(board.heights)
     work = list(seq)
     rows_alive = list(range(1, board.n_rows + 1))
@@ -115,17 +152,7 @@ def reconstruct_312(board: Board, seq, *, check: bool = True,
     Runs the 231 reconstruction on the conjugate board with the reversed
     sequence and reflects the result back.
     """
-    seq = tuple(seq)
-    expected = board.n_cols + board.n_rows + 1
-    if len(seq) != expected:
-        raise LengthMismatch(f"sequence has {len(seq)} values, board needs {expected}")
-    if check:
-        if not board.square_bounded():
-            raise ConditionViolation(
-                "board's longest row and column differ; no full placement exists")
-        report = check_312(board, seq)
-        if not report.verdict:
-            raise ConditionViolation("; ".join(report.lines()))
+    seq = _checked_sequence(board, seq, check, check_312)
     conj = board.conjugate()
     mirror = reconstruct_231(conj, tuple(reversed(seq)), check=False, verify=False)
     result = inverse_placement(conj, mirror)
@@ -134,31 +161,25 @@ def reconstruct_312(board: Board, seq, *, check: bool = True,
     return result
 
 
+def _map_full(board: Board, placement: FullPlacement, avoided: Pattern,
+              reconstruct_image: Callable, check: bool, verify: bool) -> FullPlacement:
+    if check:
+        _require_avoider(board, placement, avoided)
+    image_seq = plus_transform(board, s_sequence(board, placement))
+    return reconstruct_image(board, image_seq, check=False, verify=verify)
+
+
 def alpha(board: Board, placement: FullPlacement, *, check: bool = True,
           verify: bool = True) -> FullPlacement:
     """Map a 231-avoiding full placement to the 312-avoiding one whose border
     sequence is the plus_transform of the input's."""
-    if check:
-        witness = pattern_witness(board, placement, PATTERN_231)
-        if witness is not None:
-            raise NotAvoider(f"placement contains 231 at markers {_witness_text(witness)}")
-    image_seq = plus_transform(board, s_sequence(board, placement))
-    return reconstruct_312(board, image_seq, check=False, verify=verify)
+    return _map_full(board, placement, PATTERN_231, reconstruct_312, check, verify)
 
 
 def beta(board: Board, placement: FullPlacement, *, check: bool = True,
          verify: bool = True) -> FullPlacement:
     """Inverse of ``alpha``: 312-avoiders to 231-avoiders via plus_transform."""
-    if check:
-        witness = pattern_witness(board, placement, PATTERN_312)
-        if witness is not None:
-            raise NotAvoider(f"placement contains 312 at markers {_witness_text(witness)}")
-    image_seq = plus_transform(board, s_sequence(board, placement))
-    return reconstruct_231(board, image_seq, check=False, verify=verify)
-
-
-def _witness_text(witness) -> str:
-    return ",".join(f"({c},{r})" for c, r in witness)
+    return _map_full(board, placement, PATTERN_312, reconstruct_231, check, verify)
 
 
 @dataclass(frozen=True)
@@ -201,29 +222,25 @@ def expand(context: CompactionContext, placement: FullPlacement) -> Placement:
         for c, r in enumerate(placement.perm, start=1)))
 
 
+def _map_general(board: Board, placement, avoided: Pattern, map_full: Callable,
+                 check: bool) -> Placement:
+    if check:
+        _require_avoider(board, placement, avoided)
+    if not placement.markers:
+        return Placement(frozenset())
+    context, full = compact(board, placement)
+    return expand(context, map_full(context.compact_board, full, check=False))
+
+
 def alpha_general(board: Board, placement, *, check: bool = True) -> Placement:
     """Apply ``alpha`` to any 231-avoiding rook placement via compaction.
 
     The image occupies the same rows and columns as the input and avoids 312;
     ``beta_general`` inverts it.
     """
-    if check:
-        witness = pattern_witness(board, placement, PATTERN_231)
-        if witness is not None:
-            raise NotAvoider(f"placement contains 231 at markers {_witness_text(witness)}")
-    if not placement.markers:
-        return Placement(frozenset())
-    context, full = compact(board, placement)
-    return expand(context, alpha(context.compact_board, full, check=False))
+    return _map_general(board, placement, PATTERN_231, alpha, check)
 
 
 def beta_general(board: Board, placement, *, check: bool = True) -> Placement:
     """Inverse of ``alpha_general`` on 312-avoiding rook placements."""
-    if check:
-        witness = pattern_witness(board, placement, PATTERN_312)
-        if witness is not None:
-            raise NotAvoider(f"placement contains 312 at markers {_witness_text(witness)}")
-    if not placement.markers:
-        return Placement(frozenset())
-    context, full = compact(board, placement)
-    return expand(context, beta(context.compact_board, full, check=False))
+    return _map_general(board, placement, PATTERN_312, beta, check)

@@ -17,6 +17,11 @@ from .errors import ParseError
 RIGHT = "R"
 DOWN = "D"
 
+# Longest column and row ``parse_board`` accepts.  Border paths, sequences
+# and sweeps allocate per unit of side length, so a huge height from the
+# command line would overflow or exhaust memory instead of being rejected.
+MAX_BOARD_SIDE = 1000
+
 
 class Vertex(NamedTuple):
     x: int
@@ -39,9 +44,6 @@ class BorderPath:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def index_of(self, v: Vertex) -> int:
-        return self.vertices.index(v)
 
 
 @dataclass(frozen=True)
@@ -156,4 +158,6 @@ def parse_board(text: str) -> Board:
         heights = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise ParseError(f"bad board {text!r}: heights must be integers") from exc
+    if len(heights) > MAX_BOARD_SIDE or max(heights) > MAX_BOARD_SIDE:
+        raise ParseError(f"board too large: at most {MAX_BOARD_SIDE} columns and rows")
     return Board(heights)

@@ -11,17 +11,9 @@ import json
 import sys
 from functools import cache
 
-from .bijection import (
-    alpha,
-    alpha_general,
-    beta,
-    beta_general,
-    compact,
-    reconstruct_231,
-    reconstruct_312,
-)
+from .bijection import _side, compact
 from .board import Board, parse_board
-from .conditions import check_231, check_312, format_sequence, parse_sequence
+from .conditions import format_sequence, parse_sequence
 from .enumeration import (
     THEOREM_TAGS,
     SweepReport,
@@ -39,6 +31,8 @@ from .errors import (
     ReconstructionFailure,
 )
 from .placement import (
+    PATTERN_231,
+    PATTERN_312,
     FullPlacement,
     Pattern,
     Placement,
@@ -62,10 +56,6 @@ def _placement_json(placement, board: Board):
     return [[c, r] for c, r in sorted(placement.markers)]
 
 
-def _checker(pattern: str):
-    return check_231 if pattern == "231" else check_312
-
-
 def cmd_sequence(args) -> int:
     board = parse_board(args.board)
     placement = parse_placement(args.placement, board)
@@ -83,10 +73,8 @@ def cmd_map(args) -> int:
     board = parse_board(args.board)
     placement = parse_placement(args.placement, board)
     direction = "alpha" if args.alpha else "beta"
-    if isinstance(placement, FullPlacement):
-        image = alpha(board, placement) if args.alpha else beta(board, placement)
-    else:
-        image = alpha_general(board, placement) if args.alpha else beta_general(board, placement)
+    # Compacting a full placement is the identity, so one map serves both kinds.
+    image = _side(PATTERN_231 if args.alpha else PATTERN_312).map_general(board, placement)
     if args.json:
         _emit_json({"board": list(board.heights),
                     "placement": _placement_json(placement, board),
@@ -100,7 +88,7 @@ def cmd_map(args) -> int:
 def cmd_check(args) -> int:
     board = parse_board(args.board)
     seq = parse_sequence(args.seq)
-    report = _checker(args.pattern)(board, seq)
+    report = _side(Pattern.parse(args.pattern)).check(board, seq)
     if args.json:
         _emit_json({"board": list(board.heights), "sequence": list(seq),
                     "pattern": args.pattern, "verdict": report.verdict,
@@ -118,8 +106,7 @@ def cmd_check(args) -> int:
 def cmd_reconstruct(args) -> int:
     board = parse_board(args.board)
     seq = parse_sequence(args.seq)
-    rebuild = reconstruct_231 if args.pattern == "231" else reconstruct_312
-    placement = rebuild(board, seq)
+    placement = _side(Pattern.parse(args.pattern)).reconstruct(board, seq)
     if args.json:
         _emit_json({"board": list(board.heights), "sequence": list(seq),
                     "pattern": args.pattern,

@@ -12,17 +12,9 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Iterator
 
-from .bijection import (
-    alpha,
-    alpha_general,
-    beta,
-    beta_general,
-    plus_transform,
-    reconstruct_231,
-    reconstruct_312,
-)
+from .bijection import _side, alpha, alpha_general, beta, beta_general, plus_transform
 from .board import RIGHT, Board
-from .conditions import check_231, check_312, format_sequence
+from .conditions import format_sequence
 from .errors import RookbijError
 from .placement import (
     PATTERN_231,
@@ -125,12 +117,7 @@ def valid_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]
     profile, then full checker filtering.  On square-bounded boards this is
     exactly the set of checker-passing sequences.
     """
-    if pattern == PATTERN_231:
-        checker = check_231
-    elif pattern == PATTERN_312:
-        checker = check_312
-    else:
-        raise ValueError(f"no condition checker for pattern {pattern}")
+    checker = _side(pattern).check
     profile = board.marker_count_profile
     steps = board.border_path.steps
     m = len(profile)
@@ -172,10 +159,6 @@ class SweepReport:
         return not self.failures
 
 
-def _fail(board: Board, tag: str, witness: str) -> Failure:
-    return Failure(board, tag, witness)
-
-
 def _check_l1(board: Board) -> list[Failure]:
     # Marker counts in R(V) must match the placement-independent profile.
     failures = []
@@ -185,7 +168,7 @@ def _check_l1(board: Board) -> list[Failure]:
         for idx, v in enumerate(verts):
             count = sum(1 for c, r in p.markers if c <= v.x and r <= v.y)
             if count != profile[idx]:
-                failures.append(_fail(
+                failures.append(Failure(
                     board, "l1",
                     f"placement {format_placement(p)} has {count} markers in "
                     f"R(({v.x},{v.y})), profile says {profile[idx]}"))
@@ -205,27 +188,26 @@ def _check_t1(board: Board) -> list[Failure]:
     # The border sequence determines the avoiding placement, and the
     # reconstruction inverts the sequence map.
     failures = []
-    reconstructors = {PATTERN_231: reconstruct_231, PATTERN_312: reconstruct_312}
     for pattern, avoiders in _avoiders(board).items():
         seen: dict[tuple[int, ...], FullPlacement] = {}
         for p in avoiders:
             seq = s_sequence(board, p)
             if seq in seen:
-                failures.append(_fail(
+                failures.append(Failure(
                     board, "t1",
                     f"placements {format_placement(seen[seq])} and {format_placement(p)} "
                     f"({pattern}-avoiding) share sequence {format_sequence(seq)}"))
                 continue
             seen[seq] = p
             try:
-                rebuilt = reconstructors[pattern](board, seq, check=False, verify=False)
+                rebuilt = _side(pattern).reconstruct(board, seq, check=False, verify=False)
             except RookbijError as exc:
-                failures.append(_fail(
+                failures.append(Failure(
                     board, "t1",
                     f"reconstruction failed on {format_sequence(seq)}: {exc}"))
                 continue
             if rebuilt != p:
-                failures.append(_fail(
+                failures.append(Failure(
                     board, "t1",
                     f"sequence {format_sequence(seq)} rebuilt to {format_placement(rebuilt)}, "
                     f"expected {format_placement(p)}"))
@@ -243,11 +225,11 @@ def _check_t2(board: Board) -> list[Failure]:
         realized = {s_sequence(board, p) for p in avoiders[pattern]}
         accepted = set(valid_sequences(board, pattern))
         for seq in sorted(realized - accepted):
-            failures.append(_fail(
+            failures.append(Failure(
                 board, "t2",
                 f"{pattern}-realized sequence {format_sequence(seq)} fails the conditions"))
         for seq in sorted(accepted - realized):
-            failures.append(_fail(
+            failures.append(Failure(
                 board, "t2",
                 f"sequence {format_sequence(seq)} passes the {pattern}-conditions "
                 f"but no avoider realizes it"))
@@ -265,18 +247,19 @@ def _check_t4(board: Board) -> list[Failure]:
             q = alpha(board, p, check=False)
             back = beta(board, q, check=False)
         except RookbijError as exc:
-            failures.append(_fail(board, "t4", f"alpha/beta failed on {format_placement(p)}: {exc}"))
+            failures.append(Failure(
+                board, "t4", f"alpha/beta failed on {format_placement(p)}: {exc}"))
             continue
         images.append(q)
         if not avoids(board, q, PATTERN_312):
-            failures.append(_fail(
+            failures.append(Failure(
                 board, "t4", f"alpha({format_placement(p)}) = {format_placement(q)} contains 312"))
         if back != p:
-            failures.append(_fail(
+            failures.append(Failure(
                 board, "t4",
                 f"beta(alpha({format_placement(p)})) = {format_placement(back)}"))
     if sorted(p.perm for p in images) != sorted(p.perm for p in avoiders[PATTERN_312]):
-        failures.append(_fail(
+        failures.append(Failure(
             board, "t4",
             f"alpha image {{{','.join(format_placement(p) for p in images)}}} is not the "
             f"312-avoider set"))
@@ -284,14 +267,15 @@ def _check_t4(board: Board) -> list[Failure]:
         try:
             p = beta(board, q, check=False)
             if alpha(board, p, check=False) != q:
-                failures.append(_fail(
+                failures.append(Failure(
                     board, "t4", f"alpha(beta({format_placement(q)})) differs from the input"))
         except RookbijError as exc:
-            failures.append(_fail(board, "t4", f"beta/alpha failed on {format_placement(q)}: {exc}"))
+            failures.append(Failure(
+                board, "t4", f"beta/alpha failed on {format_placement(q)}: {exc}"))
     for p in full_placements(board):
         seq = s_sequence(board, p)
         if plus_transform(board, plus_transform(board, seq)) != seq:
-            failures.append(_fail(
+            failures.append(Failure(
                 board, "t4", f"plus_transform not involutive on {format_sequence(seq)}"))
     return failures
 
@@ -313,7 +297,7 @@ def _check_remark(board: Board) -> list[Failure]:
             n_312 += 1
             avoiders_312.setdefault(key, set()).add(p.markers)
     if n_231 != n_312:
-        failures.append(_fail(
+        failures.append(Failure(
             board, "remark", f"{n_231} placements avoid 231 but {n_312} avoid 312"))
     for key, members in avoiders_231.items():
         image_markers = set()
@@ -322,21 +306,21 @@ def _check_remark(board: Board) -> list[Failure]:
                 q = alpha_general(board, p, check=False)
                 back = beta_general(board, q, check=False)
             except RookbijError as exc:
-                failures.append(_fail(
+                failures.append(Failure(
                     board, "remark", f"alpha_general failed on {format_placement(p)}: {exc}"))
                 continue
             qkey = (tuple(sorted(c for c, _ in q.markers)), tuple(sorted(r for _, r in q.markers)))
             if qkey != key:
-                failures.append(_fail(
+                failures.append(Failure(
                     board, "remark",
                     f"alpha_general moved {format_placement(p)} to different rows/columns"))
             if back.markers != p.markers:
-                failures.append(_fail(
+                failures.append(Failure(
                     board, "remark",
                     f"beta_general(alpha_general({format_placement(p)})) differs from the input"))
             image_markers.add(q.markers)
         if image_markers != avoiders_312.get(key, set()):
-            failures.append(_fail(
+            failures.append(Failure(
                 board, "remark",
                 f"class cols={key[0]} rows={key[1]}: alpha_general image does not match "
                 f"the 312-avoiders"))

@@ -103,13 +103,6 @@ class FullPlacement:
             if row > board.heights[col - 1]:
                 raise InvalidPlacement(f"marker ({col},{row}) is outside the board")
 
-    @classmethod
-    def from_markers(cls, markers) -> FullPlacement:
-        by_col = dict(sorted(markers))
-        if sorted(by_col) != list(range(1, len(by_col) + 1)):
-            raise InvalidPlacement("markers do not cover consecutive columns")
-        return cls(tuple(by_col[c] for c in sorted(by_col)))
-
 
 def _validated_markers(board: Board, placement) -> frozenset[tuple[int, int]]:
     placement.validate_on(board)

@@ -32,6 +32,11 @@ from rookbij.placement import (
 from strategies import boards_with_full_placement, boards_with_rook_placement
 
 B333 = Board((3, 3, 3))
+# A 231- and a 312-containing placement on B333, each with its rejection text.
+NON_AVOIDERS_333 = (
+    ((2, 3, 1), "placement contains 231 at markers (1,2),(2,3),(3,1)"),
+    ((3, 1, 2), "placement contains 312 at markers (1,3),(2,1),(3,2)"),
+)
 
 
 @pytest.mark.parametrize("heights,seq,expected", [
@@ -78,15 +83,22 @@ def test_reconstruct_312_examples(heights, seq, perm):
 
 
 def test_reconstruct_precondition_failures():
-    with pytest.raises(ConditionViolation):
-        reconstruct_231(Board((2, 2)), (0, 0, 1, 1, 0))
-    with pytest.raises(ConditionViolation):
-        reconstruct_231(Board((2, 2, 1)), (0, 1, 2, 1, 0, 0))  # not square-bounded
-    with pytest.raises(LengthMismatch):
-        reconstruct_231(Board((2, 2)), (0, 1, 0))
-    # bad input sneaking past the checks must still be rejected
-    with pytest.raises(ReconstructionFailure):
-        reconstruct_231(Board((2, 2)), (0, 0, 0, 0, 0), check=False)
+    condition_text = {
+        reconstruct_231: "ZERO at border indices 0-1",
+        reconstruct_312: "ZERO at border indices 0-1; DIAGONAL at (1,2)>(2,1)",
+    }
+    for reconstruct, text in condition_text.items():
+        with pytest.raises(ConditionViolation) as exc:
+            reconstruct(Board((2, 2)), (0, 0, 1, 1, 0))
+        assert str(exc.value) == text
+        with pytest.raises(ConditionViolation) as exc:
+            reconstruct(Board((2, 2, 1)), (0, 1, 2, 1, 0, 0))  # not square-bounded
+        assert str(exc.value) == "board's longest row and column differ; no full placement exists"
+        with pytest.raises(LengthMismatch):
+            reconstruct(Board((2, 2)), (0, 1, 0))
+        # bad input sneaking past the checks must still be rejected
+        with pytest.raises(ReconstructionFailure):
+            reconstruct(Board((2, 2)), (0, 0, 0, 0, 0), check=False)
 
 
 def test_reconstruct_round_trip_small():
@@ -110,10 +122,10 @@ def test_alpha_beta_examples():
 
 
 def test_alpha_beta_reject_non_avoiders():
-    with pytest.raises(NotAvoider):
-        alpha(B333, FullPlacement((2, 3, 1)))
-    with pytest.raises(NotAvoider):
-        beta(B333, FullPlacement((3, 1, 2)))
+    for map_full, (perm, text) in zip((alpha, beta), NON_AVOIDERS_333):
+        with pytest.raises(NotAvoider) as exc:
+            map_full(B333, FullPlacement(perm))
+        assert str(exc.value) == text
 
 
 def test_alpha_image_sequence_is_plus_transform():
@@ -186,8 +198,10 @@ def test_alpha_general_examples():
 
 
 def test_alpha_general_rejects_non_avoiders():
-    with pytest.raises(NotAvoider):
-        alpha_general(B333, Placement({(1, 2), (2, 3), (3, 1)}))
+    for map_general, (perm, text) in zip((alpha_general, beta_general), NON_AVOIDERS_333):
+        with pytest.raises(NotAvoider) as exc:
+            map_general(B333, Placement(FullPlacement(perm).markers))
+        assert str(exc.value) == text
 
 
 @given(boards_with_rook_placement())

@@ -58,6 +58,8 @@ def test_map_beta_inverts_alpha(capsys):
 def test_map_partial(capsys):
     code, out, _ = run(capsys, "map", "--board", "3,3,3", "--placement", "1:1,2:2", "--alpha")
     assert (code, out) == (0, "1:2,2:1\n")
+    code, out, _ = run(capsys, "map", "--board", "3,3,3", "--placement", "1:2,2:1", "--beta")
+    assert (code, out) == (0, "1:1,2:2\n")
 
 
 def test_map_round_trips_for_every_avoider_within_4(capsys):
@@ -157,6 +159,9 @@ def test_malformed_inputs_exit_2(capsys):
     assert run(capsys, "count", "--board", "2,2", "--pattern", "122")[0] == 2
     assert run(capsys, "verify", "--max-n", "0")[0] == 2
     assert run(capsys, "verify", "--max-n", "2", "--parallel", "0")[0] == 2
+    # rejected by size before anything is allocated
+    assert run(capsys, "sequence", "--board", "9" * 20, "--placement", "")[0] == 2
+    assert run(capsys, "sequence", "--board", ",".join(["1"] * 1001), "--placement", "")[0] == 2
 
 
 
