@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .board import Board
-from .conditions import check_231, check_312
+from .conditions import _sized_sequence, check_231, check_312
 from .errors import (
     ConditionViolation,
     InvalidPlacement,
-    LengthMismatch,
     NotAvoider,
     OutOfRange,
     ReconstructionFailure,
@@ -41,10 +40,8 @@ def plus_transform(board: Board, seq) -> tuple[int, ...]:
 
     An involution on the sequences realized by full placements.
     """
-    seq = tuple(seq)
+    seq = _sized_sequence(board, seq)
     profile = board.marker_count_profile
-    if len(seq) != len(profile):
-        raise LengthMismatch(f"sequence has {len(seq)} values, board needs {len(profile)}")
     for i, (s, n) in enumerate(zip(seq, profile)):
         if not 0 <= s <= n:
             raise OutOfRange(f"value {s} at border index {i} outside [0, {n}]")
@@ -83,10 +80,7 @@ def _checked_sequence(board: Board, seq, check: bool,
                       checker: Callable) -> tuple[int, ...]:
     """The sequence as a tuple, after the preconditions of a reconstruction:
     its length, and with ``check`` a square-bounded board and ``checker``."""
-    seq = tuple(seq)
-    expected = board.n_cols + board.n_rows + 1
-    if len(seq) != expected:
-        raise LengthMismatch(f"sequence has {len(seq)} values, board needs {expected}")
+    seq = _sized_sequence(board, seq)
     if check:
         if not board.square_bounded():
             raise ConditionViolation(

@@ -42,9 +42,6 @@ class BorderPath:
     vertices: tuple[Vertex, ...]
     steps: tuple[str, ...]
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
 
 @dataclass(frozen=True)
 class Board:
@@ -150,12 +147,11 @@ class Board:
 
 
 def parse_board(text: str) -> Board:
-    """Parse comma-separated column heights, e.g. ``3,2,1``."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    """Parse comma-separated column heights, e.g. ``3,2,1``; no field may be empty."""
+    if not text.strip():
         raise ParseError("empty board")
     try:
-        heights = tuple(int(p) for p in parts)
+        heights = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad board {text!r}: heights must be integers") from exc
     if len(heights) > MAX_BOARD_SIDE or max(heights) > MAX_BOARD_SIDE:

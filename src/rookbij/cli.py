@@ -33,9 +33,9 @@ from .errors import (
 from .placement import (
     PATTERN_231,
     PATTERN_312,
-    FullPlacement,
     Pattern,
     Placement,
+    _permutation_rows,
     format_placement,
     parse_placement,
     s_sequence,
@@ -50,10 +50,8 @@ def _emit_json(obj) -> None:
 
 
 def _placement_json(placement, board: Board):
-    if isinstance(placement, FullPlacement) or placement.is_full_on(board):
-        markers = sorted(placement.markers)
-        return [r for _, r in markers]
-    return [[c, r] for c, r in sorted(placement.markers)]
+    rows = _permutation_rows(placement, board)
+    return rows if rows is not None else [[c, r] for c, r in sorted(placement.markers)]
 
 
 def cmd_sequence(args) -> int:

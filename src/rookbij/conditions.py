@@ -49,11 +49,17 @@ def check_312(board: Board, seq) -> ConditionReport:
     return _check(board, seq, diagonal_le=False)
 
 
-def _check(board: Board, seq, diagonal_le: bool) -> ConditionReport:
+def _sized_sequence(board: Board, seq) -> FSeq:
+    """The sequence as a tuple, after checking it has one value per border vertex."""
     seq = tuple(seq)
     expected = board.n_cols + board.n_rows + 1
     if len(seq) != expected:
         raise LengthMismatch(f"sequence has {len(seq)} values, board needs {expected}")
+    return seq
+
+
+def _check(board: Board, seq, diagonal_le: bool) -> ConditionReport:
+    seq = _sized_sequence(board, seq)
     violations: list[Violation] = []
 
     # Along the border path a rightward step may raise the value by 0 or 1,

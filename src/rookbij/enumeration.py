@@ -236,42 +236,43 @@ def _check_t2(board: Board) -> list[Failure]:
     return failures
 
 
+def _check_bijection(board: Board, tag: str, sources, targets, forward,
+                     backward) -> list[Failure]:
+    # forward maps the sources onto the targets and backward undoes it.  The
+    # images are compared with the targets as marker sets, so an image that
+    # contains the other pattern or leaves its compaction class is reported.
+    f, b = forward.__name__, backward.__name__
+    failures = []
+    images: dict[frozenset, Placement | FullPlacement] = {}
+    for p in sources:
+        try:
+            q = forward(board, p, check=False)
+            back = backward(board, q, check=False)
+        except RookbijError as exc:
+            failures.append(Failure(
+                board, tag, f"{f}/{b} failed on {format_placement(p, board)}: {exc}"))
+            continue
+        images[q.markers] = q
+        if back.markers != p.markers:
+            failures.append(Failure(
+                board, tag,
+                f"{b}({f}({format_placement(p, board)})) = {format_placement(back, board)}"))
+    wanted = {q.markers: q for q in targets}
+    if images.keys() != wanted.keys():
+        stray = ",".join(format_placement(q, board) for m, q in images.items() if m not in wanted)
+        missed = ",".join(format_placement(q, board) for m, q in wanted.items() if m not in images)
+        failures.append(Failure(
+            board, tag, f"{f} image has {{{stray}}} outside the targets and misses {{{missed}}}"))
+    return failures
+
+
 def _check_t4(board: Board) -> list[Failure]:
     # alpha and beta are mutually inverse bijections between the avoider sets,
     # and plus_transform is an involution on realized sequences.
-    failures = []
     avoiders = _avoiders(board)
-    images = []
-    for p in avoiders[PATTERN_231]:
-        try:
-            q = alpha(board, p, check=False)
-            back = beta(board, q, check=False)
-        except RookbijError as exc:
-            failures.append(Failure(
-                board, "t4", f"alpha/beta failed on {format_placement(p)}: {exc}"))
-            continue
-        images.append(q)
-        if not avoids(board, q, PATTERN_312):
-            failures.append(Failure(
-                board, "t4", f"alpha({format_placement(p)}) = {format_placement(q)} contains 312"))
-        if back != p:
-            failures.append(Failure(
-                board, "t4",
-                f"beta(alpha({format_placement(p)})) = {format_placement(back)}"))
-    if sorted(p.perm for p in images) != sorted(p.perm for p in avoiders[PATTERN_312]):
-        failures.append(Failure(
-            board, "t4",
-            f"alpha image {{{','.join(format_placement(p) for p in images)}}} is not the "
-            f"312-avoider set"))
-    for q in avoiders[PATTERN_312]:
-        try:
-            p = beta(board, q, check=False)
-            if alpha(board, p, check=False) != q:
-                failures.append(Failure(
-                    board, "t4", f"alpha(beta({format_placement(q)})) differs from the input"))
-        except RookbijError as exc:
-            failures.append(Failure(
-                board, "t4", f"beta/alpha failed on {format_placement(q)}: {exc}"))
+    failures = (
+        _check_bijection(board, "t4", avoiders[PATTERN_231], avoiders[PATTERN_312], alpha, beta)
+        + _check_bijection(board, "t4", avoiders[PATTERN_312], avoiders[PATTERN_231], beta, alpha))
     for p in full_placements(board):
         seq = s_sequence(board, p)
         if plus_transform(board, plus_transform(board, seq)) != seq:
@@ -280,50 +281,31 @@ def _check_t4(board: Board) -> list[Failure]:
     return failures
 
 
+def _occupied(p: Placement) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The compaction class of a placement: its occupied columns and rows."""
+    return tuple(sorted(c for c, _ in p.markers)), tuple(sorted(r for _, r in p.markers))
+
+
 def _check_remark(board: Board) -> list[Failure]:
     # Partial placements: 231- and 312-avoider counts agree, and
     # alpha_general/beta_general are inverse bijections on every compaction
-    # class (same occupied rows and columns).
-    failures = []
-    avoiders_231: dict[tuple, list[Placement]] = {}
-    avoiders_312: dict[tuple, set[frozenset]] = {}
-    n_231 = n_312 = 0
+    # class.
+    classes: dict[tuple, tuple[list[Placement], list[Placement]]] = {}
     for p in rook_placements(board):
-        key = (tuple(sorted(c for c, _ in p.markers)), tuple(sorted(r for _, r in p.markers)))
+        avoiders_231, avoiders_312 = classes.setdefault(_occupied(p), ([], []))
         if avoids(board, p, PATTERN_231):
-            n_231 += 1
-            avoiders_231.setdefault(key, []).append(p)
+            avoiders_231.append(p)
         if avoids(board, p, PATTERN_312):
-            n_312 += 1
-            avoiders_312.setdefault(key, set()).add(p.markers)
+            avoiders_312.append(p)
+    failures = []
+    n_231 = sum(len(a) for a, _ in classes.values())
+    n_312 = sum(len(a) for _, a in classes.values())
     if n_231 != n_312:
         failures.append(Failure(
             board, "remark", f"{n_231} placements avoid 231 but {n_312} avoid 312"))
-    for key, members in avoiders_231.items():
-        image_markers = set()
-        for p in members:
-            try:
-                q = alpha_general(board, p, check=False)
-                back = beta_general(board, q, check=False)
-            except RookbijError as exc:
-                failures.append(Failure(
-                    board, "remark", f"alpha_general failed on {format_placement(p)}: {exc}"))
-                continue
-            qkey = (tuple(sorted(c for c, _ in q.markers)), tuple(sorted(r for _, r in q.markers)))
-            if qkey != key:
-                failures.append(Failure(
-                    board, "remark",
-                    f"alpha_general moved {format_placement(p)} to different rows/columns"))
-            if back.markers != p.markers:
-                failures.append(Failure(
-                    board, "remark",
-                    f"beta_general(alpha_general({format_placement(p)})) differs from the input"))
-            image_markers.add(q.markers)
-        if image_markers != avoiders_312.get(key, set()):
-            failures.append(Failure(
-                board, "remark",
-                f"class cols={key[0]} rows={key[1]}: alpha_general image does not match "
-                f"the 312-avoiders"))
+    for avoiders_231, avoiders_312 in classes.values():
+        failures.extend(_check_bijection(board, "remark", avoiders_231, avoiders_312,
+                                         alpha_general, beta_general))
     return failures
 
 

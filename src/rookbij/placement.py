@@ -39,7 +39,8 @@ class Pattern:
 
     @classmethod
     def parse(cls, text: str) -> Pattern:
-        if not text.isdigit():
+        # str.isdigit alone also passes digits such as "²" that int() rejects.
+        if not (text.isascii() and text.isdigit()):
             raise ParseError(f"bad pattern {text!r}")
         return cls(tuple(int(ch) for ch in text))
 
@@ -67,12 +68,6 @@ class Placement:
         for c, r in self.markers:
             if not board.contains_square(c, r):
                 raise InvalidPlacement(f"marker ({c},{r}) is outside the board")
-
-    def is_full_on(self, board: Board) -> bool:
-        n = board.n_cols
-        return (board.n_rows == n and len(self.markers) == n
-                and {c for c, _ in self.markers} == set(range(1, n + 1))
-                and {r for _, r in self.markers} == set(range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -221,7 +216,7 @@ def parse_placement(text: str, board: Board):
         placement = Placement(frozenset(markers))
         placement.validate_on(board)
         return placement
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise ParseError(f"bad placement {text!r}")
     if board.n_cols > 9:
         raise ParseError("permutation words are ambiguous beyond 9 columns; use col:row pairs")
@@ -233,13 +228,25 @@ def parse_placement(text: str, board: Board):
     return placement
 
 
-def format_placement(placement, board: Board | None = None) -> str:
-    """Render a placement: permutation word when full and small, else col:row pairs."""
-    if isinstance(placement, FullPlacement):
-        if len(placement.perm) <= 9:
-            return str(placement)
-        return ",".join(f"{c}:{r}" for c, r in sorted(placement.markers))
+def _permutation_rows(placement, board: Board | None = None) -> list[int] | None:
+    """The marker rows column by column when the placement prints as a
+    permutation: its markers fill columns and rows 1..n, and n is the board's
+    side when a board is given.  None otherwise."""
     markers = sorted(placement.markers)
-    if board is not None and placement.is_full_on(board) and board.n_cols <= 9:
-        return "".join(str(r) for _, r in markers)
-    return ",".join(f"{c}:{r}" for c, r in markers)
+    n = len(markers)
+    if board is not None and not board.n_cols == board.n_rows == n:
+        return None
+    cols = [c for c, _ in markers]
+    rows = [r for _, r in markers]
+    if cols != list(range(1, n + 1)) or sorted(rows) != cols:
+        return None
+    return rows
+
+
+def format_placement(placement, board: Board | None = None) -> str:
+    """Render a placement: permutation word when it prints as a permutation
+    and has at most 9 columns, else col:row pairs."""
+    rows = _permutation_rows(placement, board)
+    if rows is not None and len(rows) <= 9:
+        return "".join(str(r) for r in rows)
+    return ",".join(f"{c}:{r}" for c, r in sorted(placement.markers))

@@ -14,7 +14,8 @@ def test_parse_board_roundtrip():
     assert board.n_cols == 3 and board.n_rows == 3
 
 
-@pytest.mark.parametrize("text", ["", "0", "-1", "1,2", "2,x", "3,1,2"])
+@pytest.mark.parametrize("text", ["", "0", "-1", "1,2", "2,x", "3,1,2",
+                                  "1,,1", "3,2,1,", ",3"])
 def test_parse_board_rejects(text):
     with pytest.raises(ParseError):
         parse_board(text)

@@ -1,12 +1,17 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rookbij.cli import main
-from rookbij.enumeration import boards_within, full_placements
+from rookbij.enumeration import THEOREM_TAGS, boards_within, full_placements
 from rookbij.placement import PATTERN_231, avoids, format_placement
+from strategies import boards
 
 
 def run(capsys, *argv):
@@ -162,6 +167,13 @@ def test_malformed_inputs_exit_2(capsys):
     # rejected by size before anything is allocated
     assert run(capsys, "sequence", "--board", "9" * 20, "--placement", "")[0] == 2
     assert run(capsys, "sequence", "--board", ",".join(["1"] * 1001), "--placement", "")[0] == 2
+    # digits that str.isdigit passes but int() rejects
+    assert run(capsys, "sequence", "--board", "1", "--placement", "\u00b2")[0] == 2
+    assert run(capsys, "count", "--board", "1", "--pattern", "\u00b2")[0] == 2
+    # an empty height field is malformed, not skipped
+    for board in ("1,,1", "3,2,1,", ",3"):
+        code, out, err = run(capsys, "sequence", "--board", board, "--placement", "")
+        assert (code, out) == (2, "") and err.startswith("error: bad board"), board
 
 
 
@@ -237,3 +249,55 @@ def test_json_output_roundtrips(capsys, command, argv):
     payload = json.loads(out1)
     code2, out2, _ = run(capsys, *_rebuild_argv(command, payload))
     assert (code1, out1) == (code2, out2)
+
+
+# Fields in range for boards within 4x4, and hostile ones: empty, negative,
+# non-numeric and 20 digits long.
+_SMALL = st.integers(0, 4).map(str)
+_FIELD = st.one_of(_SMALL, st.sampled_from(["", "-1", "x", "9" * 20]))
+_BOARD_TEXT = st.lists(_FIELD, max_size=5).map(",".join)
+_PLACEMENT_TEXT = st.one_of(
+    st.text("0123456789\u00b2\u0663", max_size=5),  # with superscript and Arabic-Indic digits
+    *(st.lists(st.builds("{}:{}".format, field, field), max_size=4).map(",".join)
+      for field in (_SMALL, _FIELD)))
+_SEQUENCE_TEXT = st.one_of(*(st.lists(field, max_size=10).map(",".join)
+                             for field in (_SMALL, _FIELD)))
+_PATTERN_TEXT = st.sampled_from(["231", "312", "321", "1234", "12", "", "0", "-1", "9" * 20,
+                                 "\u00b2"])
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(
+        ["sequence", "map", "check", "reconstruct", "count", "verify", "render", "compact"]))
+    board = draw(st.one_of(boards(max_n=4), st.none()))
+    argv = [command, "--board", str(board) if board else draw(_BOARD_TEXT)]
+    if command in ("sequence", "map", "render", "compact"):
+        argv += ["--placement", draw(_PLACEMENT_TEXT)]
+    if command == "map":
+        argv.append(draw(st.sampled_from(["--alpha", "--beta"])))
+    if command in ("check", "reconstruct"):
+        if board and draw(st.booleans()):  # one value per border vertex
+            size = board.n_cols + board.n_rows + 1
+            argv += ["--seq", ",".join(draw(st.lists(_SMALL, min_size=size, max_size=size)))]
+        else:
+            argv += ["--seq", draw(_SEQUENCE_TEXT)]
+    if command in ("check", "reconstruct", "count"):
+        argv += ["--pattern", draw(_PATTERN_TEXT)]
+    if command == "verify":
+        argv += ["--theorem", draw(st.sampled_from(THEOREM_TAGS + ("all",)))]
+    if command == "render" and draw(st.booleans()):
+        argv.append("--annotate")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=300)
+@given(_cli_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -4,9 +4,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given
 
+from rookbij import bijection, enumeration
 from rookbij.board import Board
 from rookbij.enumeration import (
     boards_within,
+    check_board,
     count_avoiders,
     default_sweep,
     full_placements,
@@ -14,7 +16,15 @@ from rookbij.enumeration import (
     valid_sequences,
     verify,
 )
-from rookbij.placement import PATTERN_231, PATTERN_312, Pattern, avoids, s_sequence
+from rookbij.errors import ReconstructionFailure
+from rookbij.placement import (
+    PATTERN_231,
+    PATTERN_312,
+    Pattern,
+    Placement,
+    avoids,
+    s_sequence,
+)
 from oracles import lis_in_rectangle
 from strategies import boards
 
@@ -202,3 +212,59 @@ def test_negative_control_231_vs_321():
             break
     assert witness is not None
     assert witness.n_cols <= 6
+
+
+def _planted(original, mode):
+    """``original`` with one fault planted on the first input it moves:
+    raise ``ReconstructionFailure``, or return a wrong image (the input
+    itself, or for partial placements the input less one marker)."""
+    planted = []
+
+    def faulty(board, placement, **kwargs):
+        image = original(board, placement, **kwargs)
+        if planted or image == placement:
+            return image
+        planted.append(placement)
+        if mode == "raise":
+            raise ReconstructionFailure("planted fault")
+        if mode == "drop":
+            return Placement(sorted(placement.markers)[1:])
+        return placement
+
+    return faulty
+
+
+@pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])
+@pytest.mark.parametrize("name,tag,mode", [
+    ("alpha", "t4", "input"), ("alpha", "t4", "raise"),
+    ("beta", "t4", "input"), ("beta", "t4", "raise"),
+    ("alpha_general", "remark", "input"), ("alpha_general", "remark", "raise"),
+    ("alpha_general", "remark", "drop"),
+    ("beta_general", "remark", "input"), ("beta_general", "remark", "raise"),
+    ("beta_general", "remark", "drop"),
+])
+def test_check_board_reports_planted_map_faults(monkeypatch, heights, name, tag, mode):
+    board = Board(heights)
+    assert check_board(board, tag) == []
+    monkeypatch.setattr(enumeration, name, _planted(getattr(enumeration, name), mode))
+    failures = check_board(board, tag)
+    assert failures and all(f.theorem == tag for f in failures)
+
+
+@pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])
+@pytest.mark.parametrize("name", ["reconstruct_231", "reconstruct_312"])
+def test_check_board_reports_planted_reconstruction_faults(monkeypatch, heights, name):
+    board = Board(heights)
+    original = getattr(bijection, name)
+    planted = []
+
+    def wrong(board, seq, **kwargs):
+        result = original(board, seq, **kwargs)
+        if planted:
+            return result
+        planted.append(seq)
+        return next(p for p in full_placements(board) if p != result)
+
+    monkeypatch.setattr(bijection, name, wrong)
+    failures = check_board(board, "t1")
+    assert failures and all(f.theorem == "t1" for f in failures)

@@ -181,6 +181,11 @@ def test_format_placement():
     board = Board((2, 2))
     assert format_placement(Placement({(1, 2), (2, 1)}), board) == "21"
     assert format_placement(Placement({(1, 2)}), board) == "1:2"
+    # without a board, markers filling columns and rows 1..n print as a word
+    assert format_placement(Placement({(1, 2), (2, 1)})) == "21"
+    assert format_placement(Placement({(1, 2)})) == "1:2"
+    assert format_placement(Placement({(1, 2), (2, 1)}), Board((3, 3, 3))) == "1:2,2:1"
+    assert format_placement(FullPlacement(tuple(range(10, 0, -1)))).startswith("1:10,2:9,")
 
 
 def test_full_placement_validation():
