@@ -28,9 +28,7 @@ def main() -> int:
     print(f"{'board':<16}{header}")
     totals: Counter[str] = Counter()
     mismatches = 0
-    for board in boards_within(args.max_n):
-        if args.nonzero_only and not board.admits_full_placement():
-            continue
+    for board in boards_within(args.max_n, full_only=args.nonzero_only):
         counts = [count_avoiders(board, p) for p in patterns]
         cells = " ".join(f"{c:>6}" for c in counts)
         marker = ""

@@ -156,24 +156,22 @@ def reconstruct_312(board: Board, seq, *, check: bool = True,
 
 
 def _map_full(board: Board, placement: FullPlacement, avoided: Pattern,
-              reconstruct_image: Callable, check: bool, verify: bool) -> FullPlacement:
+              reconstruct_image: Callable, check: bool) -> FullPlacement:
     if check:
         _require_avoider(board, placement, avoided)
     image_seq = plus_transform(board, s_sequence(board, placement))
-    return reconstruct_image(board, image_seq, check=False, verify=verify)
+    return reconstruct_image(board, image_seq, check=False)
 
 
-def alpha(board: Board, placement: FullPlacement, *, check: bool = True,
-          verify: bool = True) -> FullPlacement:
+def alpha(board: Board, placement: FullPlacement, *, check: bool = True) -> FullPlacement:
     """Map a 231-avoiding full placement to the 312-avoiding one whose border
     sequence is the plus_transform of the input's."""
-    return _map_full(board, placement, PATTERN_231, reconstruct_312, check, verify)
+    return _map_full(board, placement, PATTERN_231, reconstruct_312, check)
 
 
-def beta(board: Board, placement: FullPlacement, *, check: bool = True,
-         verify: bool = True) -> FullPlacement:
+def beta(board: Board, placement: FullPlacement, *, check: bool = True) -> FullPlacement:
     """Inverse of ``alpha``: 312-avoiders to 231-avoiders via plus_transform."""
-    return _map_full(board, placement, PATTERN_312, reconstruct_231, check, verify)
+    return _map_full(board, placement, PATTERN_312, reconstruct_231, check)
 
 
 @dataclass(frozen=True)

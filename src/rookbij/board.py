@@ -146,12 +146,22 @@ class Board:
         return all(self.heights[i] >= n - i for i in range(n))
 
 
+def _int_field(text: str) -> int:
+    """An integer field of textual input: optional surrounding whitespace, an
+    optional leading ``-``, then ASCII digits.  Plain ``int()`` would also
+    take ``+``, ``_`` separators and non-ASCII digits.  Raises ValueError."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer field: {text!r}")
+    return int(text)
+
+
 def parse_board(text: str) -> Board:
     """Parse comma-separated column heights, e.g. ``3,2,1``; no field may be empty."""
     if not text.strip():
         raise ParseError("empty board")
     try:
-        heights = tuple(int(p) for p in text.split(","))
+        heights = tuple(_int_field(p) for p in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad board {text!r}: heights must be integers") from exc
     if len(heights) > MAX_BOARD_SIDE or max(heights) > MAX_BOARD_SIDE:

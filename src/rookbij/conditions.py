@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .board import RIGHT, Board, format_vertex
+from .board import RIGHT, Board, _int_field, format_vertex
 from .errors import LengthMismatch, ParseError
 
 FSeq = tuple[int, ...]
@@ -94,9 +94,8 @@ def _check(board: Board, seq, diagonal_le: bool) -> ConditionReport:
 
 def parse_sequence(text: str) -> FSeq:
     """Parse comma-separated nonnegative integers, e.g. ``0,1,2,1,0``."""
-    parts = [p.strip() for p in text.split(",")]
     try:
-        values = tuple(int(p) for p in parts)
+        values = tuple(_int_field(p) for p in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad sequence {text!r}") from exc
     if any(v < 0 for v in values):

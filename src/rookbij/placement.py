@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .board import Board
+from .board import Board, _int_field
 from .errors import InvalidPlacement, ParseError
 
 
@@ -207,7 +207,7 @@ def parse_placement(text: str, board: Board):
         for chunk in text.split(","):
             try:
                 c, r = chunk.split(":")
-                marker = (int(c), int(r))
+                marker = (_int_field(c), _int_field(r))
             except ValueError as exc:
                 raise ParseError(f"bad marker {chunk!r}: expected col:row") from exc
             if marker in markers:

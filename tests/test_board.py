@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from rookbij.board import Board, Vertex, parse_board
+from rookbij.board import Board, Vertex, _int_field, parse_board
 from rookbij.enumeration import full_placements
 from rookbij.errors import ParseError
 from strategies import admitting_boards, boards
@@ -15,10 +18,21 @@ def test_parse_board_roundtrip():
 
 
 @pytest.mark.parametrize("text", ["", "0", "-1", "1,2", "2,x", "3,1,2",
-                                  "1,,1", "3,2,1,", ",3"])
+                                  "1,,1", "3,2,1,", ",3",
+                                  "1_0", "+3", "\u0663,\u0662,\u0661", "3,-", "2.0"])
 def test_parse_board_rejects(text):
     with pytest.raises(ParseError):
         parse_board(text)
+
+
+@given(st.text(" \t\u00a0-+_0123456789\u0663\u00b2x", max_size=6))
+def test_int_field_is_whitespace_sign_and_ascii_digits(text):
+    expected = int(text) if re.fullmatch(r"\s*-?[0-9]+\s*", text) else None
+    try:
+        got = _int_field(text)
+    except ValueError:
+        got = None
+    assert got == expected
 
 
 @pytest.mark.parametrize("heights,col,row,expected", [

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -36,6 +37,56 @@ def test_sequence_json_golden(capsys):
     code, out, _ = run(capsys, "sequence", "--board", "2,2", "--placement", "12", "--json")
     assert code == 0
     assert out == '{"board":[2,2],"placement":[1,2],"sequence":[0,1,2,1,0]}\n'
+
+
+JSON_GOLDEN_CASES = [
+    (["map", "--board", "3,3,3", "--placement", "123", "--alpha"], 0,
+     '{"board":[3,3,3],"placement":[1,2,3],"direction":"alpha","image":[3,2,1]}'),
+    (["map", "--board", "3,3,3", "--placement", "1:1,2:2", "--alpha"], 0,
+     '{"board":[3,3,3],"placement":[[1,1],[2,2]],"direction":"alpha","image":[[1,2],[2,1]]}'),
+    (["check", "--board", "2,2", "--seq", "0,1,2,1,0", "--pattern", "231"], 0,
+     '{"board":[2,2],"sequence":[0,1,2,1,0],"pattern":"231","verdict":true,"violations":[]}'),
+    (["check", "--board", "3,3,3", "--seq", "0,1,1,2,2,1,0", "--pattern", "312"], 1,
+     '{"board":[3,3,3],"sequence":[0,1,1,2,2,1,0],"pattern":"312","verdict":false,'
+     '"violations":[{"kind":"diagonal","indices":[2,4],"detail":"(2,3)>(3,2)"}]}'),
+    (["reconstruct", "--board", "3,3,3", "--seq", "0,1,2,3,2,1,0", "--pattern", "231"], 0,
+     '{"board":[3,3,3],"sequence":[0,1,2,3,2,1,0],"pattern":"231","placement":[1,2,3]}'),
+    (["count", "--board", "4,4,4,4", "--pattern", "312"], 0,
+     '{"board":[4,4,4,4],"pattern":"312","count":14}'),
+    (["compact", "--board", "3,3,3", "--placement", "1:3,3:1"], 0,
+     '{"board":[3,3,3],"placement":[[1,3],[3,1]],"cols":[1,3],"rows":[1,3],'
+     '"compact_board":[2,2],"compact_placement":[2,1]}'),
+    (["compact", "--board", "3,3,3", "--placement", ""], 0,
+     '{"board":[3,3,3],"placement":[],"cols":[],"rows":[],"compact_board":[],'
+     '"compact_placement":[]}'),
+    # no --placement prints null, the empty placement prints []
+    (["render", "--board", "3,2,1"], 0,
+     '{"board":[3,2,1],"placement":null,"grid":[".","..","..."]}'),
+    (["render", "--board", "3,2,1", "--placement", ""], 0,
+     '{"board":[3,2,1],"placement":[],"grid":[".","..","..."]}'),
+    (["render", "--board", "2,2", "--placement", "12", "--annotate"], 0,
+     '{"board":[2,2],"placement":[1,2],"grid":[".X","X."],"border_values":"0,1,2,1,0"}'),
+    (["verify", "--board", "3,3,3"], 0,
+     '{"theorem":"all","max_n":null,"board":"3,3,3","reports":['
+     '{"theorem":"l1","boards":1,"failures":[]},{"theorem":"t1","boards":1,"failures":[]},'
+     '{"theorem":"t2","boards":1,"failures":[]},{"theorem":"t4","boards":1,"failures":[]},'
+     '{"theorem":"remark","boards":1,"failures":[]}],"ok":true}'),
+]
+
+
+@pytest.mark.parametrize("argv,code,out", JSON_GOLDEN_CASES)
+def test_json_golden(capsys, argv, code, out):
+    assert run(capsys, *argv, "--json") == (code, out + "\n", "")
+
+
+def test_text_output_builds_no_json(capsys, monkeypatch):
+    # the JSON fields are built lazily, so text output does not pay for them
+    def fail(*_):
+        raise AssertionError("JSON built for text output")
+
+    monkeypatch.setattr("rookbij.cli._placement_json", fail)
+    for argv, code, _ in JSON_GOLDEN_CASES:
+        assert run(capsys, *argv)[0] == code, argv
 
 
 def test_map_golden(capsys):
@@ -126,13 +177,16 @@ def test_render_golden(capsys):
 def test_render_annotate(capsys):
     code, out, _ = run(capsys, "render", "--board", "2,2", "--placement", "12",
                        "--annotate")
-    assert code == 0
-    assert out.endswith("border: 0,1,2,1,0\n")
+    assert (code, out) == (0, ".X\nX.\nborder: 0,1,2,1,0\n")
+    code, out, _ = run(capsys, "render", "--board", "3,2,1", "--annotate")
+    assert (code, out) == (0, ".\n..\n...\nborder: 0,0,0,0,0,0,0\n")
 
 
 def test_compact_golden(capsys):
     code, out, _ = run(capsys, "compact", "--board", "3,3,3", "--placement", "1:3,3:1")
     assert (code, out) == (0, "cols=1,3 rows=1,3 board=2,2 placement=21\n")
+    code, out, _ = run(capsys, "compact", "--board", "3,3,3", "--placement", "")
+    assert (code, out) == (0, "cols= rows= board= placement=\n")
 
 
 def test_verify_single_board(capsys):
@@ -147,6 +201,25 @@ def test_verify_sweep_small(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split() == ["theorem", "boards", "failures", "elapsed"]
     assert len(lines) == 6  # header + one row per tag
+
+
+def _mask_elapsed(text):
+    return re.sub(r" +[0-9]+\.[0-9]{2}s$", " <elapsed>", text, flags=re.M)
+
+
+def test_verify_table_golden(capsys):
+    code, out, err = run(capsys, "verify", "--board", "3,3,3")
+    assert (code, _mask_elapsed(out), err) == (0, (
+        "theorem   boards  failures   elapsed\n"
+        "l1             1         0 <elapsed>\n"
+        "t1             1         0 <elapsed>\n"
+        "t2             1         0 <elapsed>\n"
+        "t4             1         0 <elapsed>\n"
+        "remark         1         0 <elapsed>\n"), "")
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--theorem", "t1")
+    assert (code, _mask_elapsed(out), err) == (0, (
+        "theorem   boards  failures   elapsed\n"
+        "t1             3         0 <elapsed>\n"), "")
 
 
 def test_unknown_flags_exit_2(capsys):
@@ -174,7 +247,22 @@ def test_malformed_inputs_exit_2(capsys):
     for board in ("1,,1", "3,2,1,", ",3"):
         code, out, err = run(capsys, "sequence", "--board", board, "--placement", "")
         assert (code, out) == (2, "") and err.startswith("error: bad board"), board
-
+    # an integer field is ASCII digits with an optional leading "-": no "_", "+"
+    # or non-ASCII digits, which int() alone would accept
+    for board in ("1_0", "+3", "\u0663,\u0662,\u0661"):
+        code, out, err = run(capsys, "sequence", "--board", board, "--placement", "")
+        assert (code, out) == (2, "") and err.startswith("error: bad board"), board
+    for seq in ("0,1_0,0", "0,+1,2,1,0", "0,\u0661,2,1,0"):
+        code, out, err = run(capsys, "check", "--board", "2,2", "--seq", seq, "--pattern", "231")
+        assert (code, out) == (2, "") and err.startswith("error: bad sequence"), seq
+    for placement in ("1:\u0661", "1:1_0", "+1:1"):
+        code, out, err = run(capsys, "sequence", "--board", "2,2", "--placement", placement)
+        assert (code, out) == (2, "") and err.startswith("error: bad marker"), placement
+    # "-1" still reaches the range checks
+    assert run(capsys, "sequence", "--board", "-1", "--placement", "") == (
+        2, "", "error: column heights must be positive\n")
+    assert run(capsys, "check", "--board", "2,2", "--seq", "0,-1,2,1,0", "--pattern", "231") == (
+        2, "", "error: sequence values must be nonnegative\n")
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys):
@@ -252,9 +340,9 @@ def test_json_output_roundtrips(capsys, command, argv):
 
 
 # Fields in range for boards within 4x4, and hostile ones: empty, negative,
-# non-numeric and 20 digits long.
+# non-numeric, 20 digits long, with a digit separator and a non-ASCII digit.
 _SMALL = st.integers(0, 4).map(str)
-_FIELD = st.one_of(_SMALL, st.sampled_from(["", "-1", "x", "9" * 20]))
+_FIELD = st.one_of(_SMALL, st.sampled_from(["", "-1", "x", "9" * 20, "1_0", "\u0663"]))
 _BOARD_TEXT = st.lists(_FIELD, max_size=5).map(",".join)
 _PLACEMENT_TEXT = st.one_of(
     st.text("0123456789\u00b2\u0663", max_size=5),  # with superscript and Arabic-Indic digits
