@@ -10,13 +10,14 @@ import argparse
 import sys
 from collections import Counter
 
+from rookbij.cli import int_option
 from rookbij.enumeration import boards_within, count_avoiders
 from rookbij.placement import Pattern
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=5)
+    parser.add_argument("--max-n", type=int_option, default=5)
     parser.add_argument("--patterns", default="231,312",
                         help="comma-separated permutation words")
     parser.add_argument("--nonzero-only", action="store_true",

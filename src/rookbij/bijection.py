@@ -49,23 +49,30 @@ def plus_transform(board: Board, seq) -> tuple[int, ...]:
 
 
 class _Side(NamedTuple):
-    """The operations on one side of the bijection, the avoiders of one pattern."""
+    """The operations on one side of the bijection, the avoiders of one pattern.
+
+    ``diagonal_le`` is the direction of the side's diagonal condition: the
+    left end of every in-board diagonal is at most (231) or at least (312)
+    its right end.
+    """
 
     check: Callable
     reconstruct: Callable
     map_general: Callable
+    diagonal_le: bool
 
 
 def _side(pattern: Pattern) -> _Side:
-    """The checker, reconstructor and general map of a pattern's side.
+    """The checker, reconstructor, general map and diagonal direction of a
+    pattern's side.
 
     Resolved on every call, not kept in a table built at import, so a module
     attribute replaced at run time (say, by a tracer) is the one called.
     """
     if pattern == PATTERN_231:
-        return _Side(check_231, reconstruct_231, alpha_general)
+        return _Side(check_231, reconstruct_231, alpha_general, True)
     if pattern == PATTERN_312:
-        return _Side(check_312, reconstruct_312, beta_general)
+        return _Side(check_312, reconstruct_312, beta_general, False)
     raise ValueError(f"no condition checker for pattern {pattern}")
 
 

@@ -13,7 +13,7 @@ from functools import cache
 from typing import Callable
 
 from .bijection import _side, compact
-from .board import Board, parse_board
+from .board import Board, _int_field, parse_board
 from .conditions import format_sequence, parse_sequence
 from .enumeration import (
     THEOREM_TAGS,
@@ -44,6 +44,15 @@ from .placement import (
 
 _INPUT_ERRORS = (ParseError, InvalidPlacement, LengthMismatch)
 _DOMAIN_ERRORS = (NotAvoider, ConditionViolation, ReconstructionFailure, OutOfRange)
+
+
+def int_option(text: str) -> int:
+    """argparse ``type=`` for integer options: the rule of every integer input
+    field (``board._int_field``), so ``+1``, ``1_0`` and ``٢`` are refused."""
+    try:
+        return _int_field(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _placement_json(placement, board: Board):
@@ -165,7 +174,7 @@ def cmd_verify(args, _board: None) -> _Result:
     return 0 if ok else 1, lines, lambda: {
         "theorem": args.theorem,
         "max_n": args.max_n,
-        "board": args.board,
+        "board": list(board.heights) if board is not None else None,
         "reports": [{"theorem": tag, "boards": report.boards_checked,
                      "failures": [{"board": str(f.board), "witness": f.witness}
                                   for f in report.failures]}
@@ -210,9 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", cmd_verify, "run exhaustive verification sweeps", board=False)
     p.add_argument("--board", help="verify a single board instead of a sweep")
-    p.add_argument("--max-n", type=int, default=None, help="sweep bound (boards within n-by-n)")
+    p.add_argument("--max-n", type=int_option, default=None,
+                   help="sweep bound (boards within n-by-n)")
     p.add_argument("--theorem", default="all", choices=THEOREM_TAGS + ("all",))
-    p.add_argument("--parallel", type=int, default=1, help="worker processes (speed only)")
+    p.add_argument("--parallel", type=int_option, default=1, help="worker processes (speed only)")
 
     p = command("render", cmd_render, "draw a board and placement as ASCII")
     p.add_argument("--placement", default=None)

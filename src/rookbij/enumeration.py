@@ -58,7 +58,19 @@ def full_placements(board: Board) -> Iterator[FullPlacement]:
 
 
 def count_avoiders(board: Board, pattern: Pattern) -> int:
-    """Number of full placements avoiding the pattern."""
+    """Number of full placements avoiding the pattern.
+
+    For 231 and 312 this counts border sequences instead of placements: an
+    avoider is fixed by its border sequence, and on a board with a full
+    placement the sequences meeting the pattern's conditions are exactly the
+    avoiders' (theorems t1 and t2).  That takes time growing with the number
+    of avoiders (the Catalan number on the n-by-n board) and runs no checker.
+    Every other pattern filters all full placements, up to n! of them.
+    """
+    if pattern in (PATTERN_231, PATTERN_312):
+        if not board.admits_full_placement():
+            return 0
+        return sum(1 for _ in _border_sequences(board, pattern))
     return sum(1 for p in full_placements(board) if avoids(board, p, pattern))
 
 
@@ -109,36 +121,69 @@ def boards_within(n: int, square_bounded_only: bool = False,
             yield board
 
 
-def valid_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]:
-    """Border sequences passing the 231- or 312-conditions, lexicographically.
+def _border_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]:
+    """Border sequences within the marker-count profile that meet the 231- or
+    312-conditions, lexicographically.
 
-    Depth-first extension along the border with monotonicity pruning (step 0
-    or +1 rightward, 0 or -1 downward) and values capped by the marker-count
-    profile, then full checker filtering.  On square-bounded boards this is
-    exactly the set of checker-passing sequences.
+    A depth-first search along the border that assigns index i only a value
+    the conditions allow given indices 0..i-1: the previous value plus 0 or 1
+    after a rightward step, minus 0 or 1 after a downward one; within
+    [0, profile[i]]; not a second zero in a row; and, for every diagonal pair
+    (k, i), at least (231) or at most (312) the value at k.  A sequence is
+    kept when its last value is 0.  Runs no checker.
+    """
+    diagonal_le = _side(pattern).diagonal_le
+    profile = board.marker_count_profile
+    if min(profile) < 0:  # no value fits below a negative cap
+        return
+    rises = [step == RIGHT for step in board.border_path.steps]
+    last = len(profile) - 1
+    left_ends: list[list[int]] = [[] for _ in profile]
+    for i, j in board.diagonal_pairs:
+        left_ends[j].append(i)
+    values = [0] * len(profile)
+
+    def allowed(i: int) -> range:
+        prev = values[i - 1]
+        low, high = (prev, prev + 1) if rises[i - 1] else (prev - 1, prev)
+        low = max(low, 0 if prev else 1)
+        high = min(high, profile[i])
+        for k in left_ends[i]:
+            if diagonal_le:
+                low = max(low, values[k])
+            else:
+                high = min(high, values[k])
+        return range(low, high + 1)
+
+    # pending[i - 1] holds the values still to try at index i.
+    pending = [iter(allowed(1))]
+    while pending:
+        i = len(pending)
+        v = next(pending[-1], None)
+        if v is None:
+            pending.pop()
+            continue
+        values[i] = v
+        if i < last:
+            pending.append(iter(allowed(i + 1)))
+        elif v == 0:
+            yield tuple(values)
+
+
+def valid_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]:
+    """Border sequences within the marker-count profile passing the 231- or
+    312-conditions, lexicographically.
+
+    The pruned search behind ``count_avoiders`` generates them, checking each
+    condition as soon as its last index is assigned; each is then run through
+    the full checker as a cross-check, which rejects none.  On a
+    square-bounded board these are exactly the border sequences of the
+    pattern's avoiders (theorem t2).
     """
     checker = _side(pattern).check
-    profile = board.marker_count_profile
-    steps = board.border_path.steps
-    m = len(profile)
-    values = [0]
-
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        if i == m:
-            if values[-1] == 0 and checker(board, tuple(values)).verdict:
-                yield tuple(values)
-            return
-        prev = values[-1]
-        candidates = (prev, prev + 1) if steps[i - 1] == RIGHT else (prev - 1, prev)
-        for v in candidates:
-            if 0 <= v <= profile[i] and not (v == 0 == prev):
-                values.append(v)
-                yield from extend(i + 1)
-                values.pop()
-
-    if profile[0] != 0:
-        return
-    yield from extend(1)
+    for seq in _border_sequences(board, pattern):
+        if checker(board, seq).verdict:
+            yield seq
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Slow, direct implementations that the tests hold the library against.
 
 Each one computes its answer the most literal way: per-square grids, every
-marker combination, every vertex pair.  None is used by the library.
+marker combination, every vertex pair, every full placement.  None is used by
+the library.
 """
 
 from itertools import combinations
 from typing import Iterable
 
 from rookbij.board import Board, Vertex
-from rookbij.placement import Pattern
+from rookbij.enumeration import full_placements
+from rookbij.placement import Pattern, avoids
 
 
 def s_grid(board: Board, placement) -> dict[Vertex, int]:
@@ -86,6 +88,12 @@ def avoids_by_border_definition(board: Board, placement, pattern: Pattern) -> bo
         if any(_order_isomorphic(combo, pattern) for combo in combinations(inside, k)):
             return False
     return True
+
+
+def count_avoiders_by_filter(board: Board, pattern: Pattern) -> int:
+    """Full placements avoiding the pattern, counted by testing every one of
+    them (up to n! on an n-column board)."""
+    return sum(1 for p in full_placements(board) if avoids(board, p, pattern))
 
 
 def diagonal_pairs_by_scan(board: Board) -> tuple[tuple[int, int], ...]:

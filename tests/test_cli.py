@@ -67,7 +67,7 @@ JSON_GOLDEN_CASES = [
     (["render", "--board", "2,2", "--placement", "12", "--annotate"], 0,
      '{"board":[2,2],"placement":[1,2],"grid":[".X","X."],"border_values":"0,1,2,1,0"}'),
     (["verify", "--board", "3,3,3"], 0,
-     '{"theorem":"all","max_n":null,"board":"3,3,3","reports":['
+     '{"theorem":"all","max_n":null,"board":[3,3,3],"reports":['
      '{"theorem":"l1","boards":1,"failures":[]},{"theorem":"t1","boards":1,"failures":[]},'
      '{"theorem":"t2","boards":1,"failures":[]},{"theorem":"t4","boards":1,"failures":[]},'
      '{"theorem":"remark","boards":1,"failures":[]}],"ok":true}'),
@@ -237,6 +237,11 @@ def test_malformed_inputs_exit_2(capsys):
     assert run(capsys, "count", "--board", "2,2", "--pattern", "122")[0] == 2
     assert run(capsys, "verify", "--max-n", "0")[0] == 2
     assert run(capsys, "verify", "--max-n", "2", "--parallel", "0")[0] == 2
+    # integer options follow the integer field rule too
+    for option, value in (("--max-n", "\u0662"), ("--max-n", "1_0"), ("--parallel", "+1")):
+        code, out, err = run(capsys, "verify", "--max-n", "2", option, value)
+        assert (code, out) == (2, "") and \
+            err.endswith(f"error: argument {option}: invalid int value: {value!r}\n"), value
     # rejected by size before anything is allocated
     assert run(capsys, "sequence", "--board", "9" * 20, "--placement", "")[0] == 2
     assert run(capsys, "sequence", "--board", ",".join(["1"] * 1001), "--placement", "")[0] == 2
@@ -374,6 +379,11 @@ def _cli_argv(draw):
         argv += ["--pattern", draw(_PATTERN_TEXT)]
     if command == "verify":
         argv += ["--theorem", draw(st.sampled_from(THEOREM_TAGS + ("all",)))]
+        # --board is always given, so no --max-n value starts a sweep and no
+        # --parallel value starts more than one worker
+        for option in ("--max-n", "--parallel"):
+            if draw(st.booleans()):
+                argv += [option, draw(st.one_of(_FIELD, st.just("+1")))]
     if command == "render" and draw(st.booleans()):
         argv.append("--annotate")
     if draw(st.booleans()):

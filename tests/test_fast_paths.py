@@ -7,9 +7,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rookbij.board import Board
-from rookbij.enumeration import boards_within, rook_placements
-from rookbij.placement import Pattern, Placement, pattern_witness, s_sequence
-from oracles import border_values, diagonal_pairs_by_scan, pattern_witness_by_scan
+from rookbij.enumeration import boards_within, count_avoiders, rook_placements
+from rookbij.placement import (
+    PATTERN_231,
+    PATTERN_312,
+    Pattern,
+    Placement,
+    pattern_witness,
+    s_sequence,
+)
+from oracles import (
+    border_values,
+    count_avoiders_by_filter,
+    diagonal_pairs_by_scan,
+    pattern_witness_by_scan,
+)
 
 PATTERNS = [Pattern(word) for k in (1, 2, 3) for word in permutations(range(1, k + 1))]
 PATTERNS.append(Pattern((2, 4, 1, 3)))
@@ -57,3 +69,13 @@ def test_fast_paths_match_on_wide_boards(pair, pattern):
 def test_diagonal_pairs_match_scan_within_7():
     for board in boards_within(7):
         assert board.diagonal_pairs == diagonal_pairs_by_scan(board), board
+
+
+@pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
+def test_sequence_count_matches_filter_within_6(pattern):
+    # every board, also those with no full placement, where both give 0
+    boards = list(boards_within(6))
+    assert len(boards) == 923
+    for board in boards:
+        assert count_avoiders(board, pattern) == count_avoiders_by_filter(board, pattern), board
+    assert count_avoiders(Board((8,) * 8), pattern) == 1430

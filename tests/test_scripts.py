@@ -6,15 +6,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_count_table_nonzero_only():
+def count_table(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "count_table.py"),
-         "--max-n", "4", "--patterns", "231,312,321", "--nonzero-only"],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "count_table.py"), *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_count_table_nonzero_only():
+    done = count_table("--max-n", "4", "--patterns", "231,312,321", "--nonzero-only")
     assert (done.returncode, done.stderr) == (0, "")
     lines = done.stdout.splitlines()
     assert "4,4,4,3             12     12     13  <- differs" in lines
     assert lines[-2:] == ["total              101    101    102",
                           "1 boards with differing counts"]
+
+
+def test_count_table_rejects_non_ascii_max_n():
+    done = count_table("--max-n", "\u0662")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith("error: argument --max-n: invalid int value: '\u0662'\n")
