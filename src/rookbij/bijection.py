@@ -164,10 +164,16 @@ def reconstruct_312(board: Board, seq, *, check: bool = True,
 
 def _map_full(board: Board, placement: FullPlacement, avoided: Pattern,
               reconstruct_image: Callable, check: bool) -> FullPlacement:
+    # The map is a pure function of the board and the placement, so the board
+    # keeps each image; the avoider check still runs on every call.
     if check:
         _require_avoider(board, placement, avoided)
-    image_seq = plus_transform(board, s_sequence(board, placement))
-    return reconstruct_image(board, image_seq, check=False)
+    key = (avoided, placement)
+    image = board._images.get(key)
+    if image is None:
+        image_seq = plus_transform(board, s_sequence(board, placement))
+        image = board._images[key] = reconstruct_image(board, image_seq, check=False)
+    return image
 
 
 def alpha(board: Board, placement: FullPlacement, *, check: bool = True) -> FullPlacement:
@@ -198,7 +204,8 @@ def compact(board: Board, placement) -> tuple[CompactionContext, FullPlacement]:
 
     The surviving squares form a smaller Ferrers board on which the re-indexed
     markers are a full placement.  Compaction preserves 231- and 312-avoidance
-    in both directions.
+    in both directions.  The board keeps one compact board per heights, so
+    placements of one board that compact alike share its map images.
     """
     placement.validate_on(board)
     markers = sorted(placement.markers)
@@ -207,7 +214,9 @@ def compact(board: Board, placement) -> tuple[CompactionContext, FullPlacement]:
     cols = tuple(sorted(c for c, _ in markers))
     rows = tuple(sorted(r for _, r in markers))
     heights = tuple(sum(1 for r in rows if r <= board.heights[c - 1]) for c in cols)
-    compact_board = Board(heights)
+    compact_board = board._compact_boards.get(heights)
+    if compact_board is None:
+        compact_board = board._compact_boards[heights] = Board(heights)
     row_rank = {r: i for i, r in enumerate(rows, start=1)}
     full = FullPlacement(tuple(row_rank[r] for _, r in markers))
     full.validate_on(compact_board)

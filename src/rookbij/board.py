@@ -76,12 +76,6 @@ class Board:
     def contains_square(self, col: int, row: int) -> bool:
         return 1 <= col <= self.n_cols and 1 <= row <= self.heights[col - 1]
 
-    def contains_vertex(self, v: Vertex) -> bool:
-        x, y = v
-        if not (0 <= x <= self.n_cols and 0 <= y <= self.n_rows):
-            return False
-        return x == 0 or y == 0 or y <= self.heights[x - 1]
-
     @cached_property
     def border_path(self) -> BorderPath:
         """The unique monotone lattice path along the right/up border."""
@@ -112,9 +106,25 @@ class Board:
         return tuple(values)
 
     def conjugate(self) -> Board:
-        """Reflect the board across the main diagonal."""
+        """Reflect the board across the main diagonal; built once per board."""
+        return self._conjugate
+
+    @cached_property
+    def _conjugate(self) -> Board:
         return Board(tuple(sum(1 for h in self.heights if h >= y)
                            for y in range(1, self.n_rows + 1)))
+
+    # Results of pure functions of this board, filled in by ``bijection``:
+    # its compacted boards by heights, and its map images by (avoided
+    # pattern, placement).  They live and die with the board, so no value is
+    # shared between boards, and a race between threads only recomputes one.
+    @cached_property
+    def _compact_boards(self) -> dict[tuple[int, ...], Board]:
+        return {}
+
+    @cached_property
+    def _images(self) -> dict[tuple, object]:
+        return {}
 
     @cached_property
     def diagonal_pairs(self) -> tuple[tuple[int, int], ...]:

@@ -10,16 +10,20 @@ import argparse
 import json
 import sys
 from functools import cache
+from math import comb
 from typing import Callable
 
 from .bijection import _side, compact
 from .board import Board, _int_field, parse_board
 from .conditions import format_sequence, parse_sequence
 from .enumeration import (
+    MAX_FILTERED_PLACEMENTS,
+    MAX_SWEEP_N,
     THEOREM_TAGS,
     SweepReport,
     count_avoiders,
     default_sweep,
+    full_placement_count,
     verify,
 )
 from .errors import (
@@ -104,6 +108,11 @@ def cmd_reconstruct(args, board: Board) -> _Result:
 
 def cmd_count(args, board: Board) -> _Result:
     pattern = Pattern.parse(args.pattern)
+    # Other patterns filter every full placement; 231 and 312 count sequences.
+    if (pattern not in (PATTERN_231, PATTERN_312)
+            and full_placement_count(board) > MAX_FILTERED_PLACEMENTS):
+        raise ParseError(f"board too large: counting {pattern}-avoiders filters at most "
+                         f"{MAX_FILTERED_PLACEMENTS:,} full placements")
     count = count_avoiders(board, pattern)
     return 0, [str(count)], lambda: {"pattern": args.pattern, "count": count}
 
@@ -155,6 +164,9 @@ def cmd_compact(args, board: Board) -> _Result:
 def cmd_verify(args, _board: None) -> _Result:
     if args.max_n is not None and args.max_n < 1:
         raise ParseError("--max-n must be at least 1")
+    if args.max_n is not None and args.max_n > MAX_SWEEP_N:
+        boards = comb(2 * MAX_SWEEP_N, MAX_SWEEP_N) - 1
+        raise ParseError(f"--max-n must be at most {MAX_SWEEP_N}, a sweep of {boards:,} boards")
     if args.parallel < 1:
         raise ParseError("--parallel must be at least 1")
     board = parse_board(args.board) if args.board is not None else None

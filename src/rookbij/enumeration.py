@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import prod
 from time import perf_counter
 from typing import Iterable, Iterator
 
@@ -31,6 +32,15 @@ THEOREM_TAGS = ("l1", "t1", "t2", "t4", "remark")
 
 # Sweep sizes chosen so a full run stays within a few seconds single-threaded.
 DEFAULT_BOUNDS = {"l1": 5, "t1": 5, "t2": 5, "t4": 5, "remark": 4}
+
+# Largest sweep bound the command line accepts: the C(18, 9) - 1 = 48,619
+# boards within 9x9.  A sweep's board list has C(2n, n) - 1 entries, about
+# 10^17 at n = 30.
+MAX_SWEEP_N = 9
+
+# Most full placements ``count`` filters for a pattern other than 231 and
+# 312: the 9! of the 9x9 board.
+MAX_FILTERED_PLACEMENTS = 362_880
 
 
 def full_placements(board: Board) -> Iterator[FullPlacement]:
@@ -55,6 +65,18 @@ def full_placements(board: Board) -> Iterator[FullPlacement]:
                 used[row] = False
 
     yield from extend(0)
+
+
+def full_placement_count(board: Board) -> int:
+    """Number of full rook placements, without enumerating them.
+
+    Filling columns from the right, column i of n has h_i - (n - i) rows
+    left, whatever the n - i shorter columns to its right took.
+    """
+    if not board.admits_full_placement():
+        return 0
+    n = board.n_cols
+    return prod(h - (n - i) for i, h in enumerate(board.heights, start=1))
 
 
 def count_avoiders(board: Board, pattern: Pattern) -> int:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 
@@ -155,6 +158,17 @@ def test_compact_examples():
     assert full.perm == ()
 
 
+def test_compact_reuses_one_board_per_heights():
+    board = Board((3, 3, 3))
+    first, _ = compact(board, Placement({(1, 3), (3, 1)}))
+    second, _ = compact(board, Placement({(1, 1), (2, 3)}))
+    assert first.compact_board == Board((2, 2))
+    assert second.compact_board is first.compact_board
+    other, _ = compact(Board((3, 3, 3)), Placement({(1, 3), (3, 1)}))
+    assert other.compact_board == first.compact_board
+    assert other.compact_board is not first.compact_board
+
+
 @given(boards_with_full_placement())
 def test_compact_full_placement_is_identity(pair):
     board, placement = pair
@@ -214,3 +228,31 @@ def test_alpha_general_round_trip(pair):
     assert {c for c, _ in image.markers} == {c for c, _ in placement.markers}
     assert {r for _, r in image.markers} == {r for _, r in placement.markers}
     assert beta_general(board, image).markers == placement.markers
+
+
+def test_threads_sharing_one_board_get_fresh_board_images():
+    # A board's stored images and compact boards are filled without a lock:
+    # a race only computes one value twice, so every thread still gets the
+    # image a fresh board computes.
+    heights = (5, 5, 4, 4, 2)
+    board = Board(heights)
+    placements = [p for p in rook_placements(board) if avoids(board, p, PATTERN_231)]
+    expected = [alpha_general(board, p) for p in placements]
+    shared = Board(heights)
+    results = [None] * 6
+
+    def work(k):
+        results[k] = [alpha_general(shared, p) for p in placements]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(results)

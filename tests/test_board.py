@@ -64,7 +64,8 @@ def test_border_path_shape(board):
     assert path.vertices[0] == Vertex(0, board.n_rows)
     assert path.vertices[-1] == Vertex(board.n_cols, 0)
     for v in path.vertices:
-        assert board.contains_vertex(v)
+        x, y = v
+        assert x == 0 or y == 0 or y <= board.heights[x - 1]
 
 
 @pytest.mark.parametrize("heights,profile", [
@@ -96,6 +97,12 @@ def test_profile_counts_any_full_placement(board):
 ])
 def test_conjugate(heights, conj):
     assert Board(heights).conjugate().heights == conj
+
+
+def test_conjugate_built_once_per_board():
+    board = Board((3, 2))
+    assert board.conjugate() is board.conjugate()
+    assert Board((3, 2)).conjugate() is not board.conjugate()
 
 
 @given(boards())

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rookbij.board import Board
 from rookbij.cli import main
-from rookbij.enumeration import THEOREM_TAGS, boards_within, full_placements
+from rookbij.enumeration import (
+    MAX_FILTERED_PLACEMENTS,
+    THEOREM_TAGS,
+    boards_within,
+    full_placement_count,
+    full_placements,
+)
 from rookbij.placement import PATTERN_231, avoids, format_placement
 from strategies import boards
 
@@ -268,6 +276,37 @@ def test_malformed_inputs_exit_2(capsys):
         2, "", "error: column heights must be positive\n")
     assert run(capsys, "check", "--board", "2,2", "--seq", "0,-1,2,1,0", "--pattern", "231") == (
         2, "", "error: sequence values must be nonnegative\n")
+
+
+def _limited_cli(*argv):
+    """Run the CLI in a child process capped at 1 GiB of address space and
+    20 seconds, so a command that is not refused fails instead of hanging."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run([sys.executable, "-m", "rookbij.cli", *argv], capture_output=True,
+                          text=True, timeout=20, preexec_fn=cap_memory)
+
+
+@pytest.mark.parametrize("max_n", ["10", "30", "9" * 50])
+def test_verify_refuses_oversized_sweeps_up_front(max_n):
+    # boards_within(30) alone has about 10^17 boards
+    done = _limited_cli("verify", "--max-n", max_n, "--theorem", "l1")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: --max-n must be at most 9, a sweep of 48,619 boards\n"
+
+
+def test_count_refuses_boards_with_too_many_placements(capsys):
+    # filtering 1000x1000 would recurse past Python's limit; 10x10 has 10! placements
+    for board in (",".join(["1000"] * 1000), ",".join(["10"] * 10)):
+        for pattern in ("321", "1", "2413"):
+            assert run(capsys, "count", "--board", board, "--pattern", pattern) == (
+                2, "", f"error: board too large: counting {pattern}-avoiders filters at most "
+                       "362,880 full placements\n")
+    # the sequence count for 231 and 312 is not capped; 9x9 (9! placements) is admitted
+    assert run(capsys, "count", "--board", ",".join(["10"] * 10), "--pattern", "312")[:2] == (
+        0, "16796\n")
+    assert full_placement_count(Board((9,) * 9)) == MAX_FILTERED_PLACEMENTS
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys):

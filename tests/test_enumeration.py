@@ -11,6 +11,7 @@ from rookbij.enumeration import (
     check_board,
     count_avoiders,
     default_sweep,
+    full_placement_count,
     full_placements,
     rook_placements,
     valid_sequences,
@@ -38,6 +39,11 @@ from strategies import boards
 ])
 def test_full_placement_counts(heights, count):
     assert sum(1 for _ in full_placements(Board(heights))) == count
+
+
+def test_full_placement_count_matches_enumeration_within_5():
+    for board in boards_within(5):
+        assert full_placement_count(board) == sum(1 for _ in full_placements(board)), board
 
 
 def test_full_placements_lexicographic_and_unique():
@@ -268,3 +274,46 @@ def test_check_board_reports_planted_reconstruction_faults(monkeypatch, heights,
     monkeypatch.setattr(bijection, name, wrong)
     failures = check_board(board, "t1")
     assert failures and all(f.theorem == "t1" for f in failures)
+
+
+@pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("mode", ["input", "raise"])
+def test_remark_reports_planted_full_map_faults(monkeypatch, heights, name, mode):
+    # The general maps call bijection.alpha and bijection.beta on compacted
+    # boards, which keep their images; the fault sits above those images.
+    board = Board(heights)
+    assert check_board(board, "remark") == []
+    monkeypatch.setattr(bijection, name, _planted(getattr(bijection, name), mode))
+    failures = check_board(board, "remark")
+    assert failures and all(f.theorem == "remark" for f in failures)
+
+
+@pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])
+@pytest.mark.parametrize("name", ["reconstruct_231", "reconstruct_312"])
+def test_t4_reports_planted_reconstruction_faults(monkeypatch, heights, name):
+    # alpha and beta reconstruct each image through these names once per
+    # board, so the faulty board is fresh: it has not mapped anything yet.
+    assert check_board(Board(heights), "t4") == []
+    original = getattr(bijection, name)
+    planted = []
+
+    def wrong(board, seq, **kwargs):
+        result = original(board, seq, **kwargs)
+        if planted:
+            return result
+        planted.append(seq)
+        return next(p for p in full_placements(board) if p != result)
+
+    monkeypatch.setattr(bijection, name, wrong)
+    failures = check_board(Board(heights), "t4")
+    assert planted and failures and all(f.theorem == "t4" for f in failures)
+
+
+@pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])
+@pytest.mark.parametrize("tag", enumeration.THEOREM_TAGS)
+def test_check_board_twice_on_one_board(heights, tag):
+    # the second run reads what the first left on the board
+    board = Board(heights)
+    assert check_board(board, tag) == []
+    assert check_board(board, tag) == []

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rookbij.bijection import alpha, alpha_general, beta, beta_general
 from rookbij.board import Board
-from rookbij.enumeration import boards_within, count_avoiders, rook_placements
+from rookbij.enumeration import boards_within, count_avoiders, full_placements, rook_placements
+from rookbij.errors import RookbijError
 from rookbij.placement import (
     PATTERN_231,
     PATTERN_312,
     Pattern,
     Placement,
+    avoids,
     pattern_witness,
     s_sequence,
 )
@@ -79,3 +82,40 @@ def test_sequence_count_matches_filter_within_6(pattern):
     for board in boards:
         assert count_avoiders(board, pattern) == count_avoiders_by_filter(board, pattern), board
     assert count_avoiders(Board((8,) * 8), pattern) == 1430
+
+
+@pytest.mark.parametrize("forward,backward,pattern,n,placements", [
+    (alpha, beta, PATTERN_231, 5, full_placements),
+    (beta, alpha, PATTERN_312, 5, full_placements),
+    (alpha_general, beta_general, PATTERN_231, 4, rook_placements),
+    (beta_general, alpha_general, PATTERN_312, 4, rook_placements),
+], ids=["alpha", "beta", "alpha_general", "beta_general"])
+def test_maps_on_reused_board_match_fresh_board(forward, backward, pattern, n, placements):
+    # Two passes on one reused board, each image equal to the one a fresh
+    # board computes.  The second pass repeats every input, and so does each
+    # backward map of an image the board has already mapped.
+    for board in boards_within(n):
+        for _ in range(2):
+            for p in placements(board):
+                if not avoids(board, p, pattern):
+                    continue
+                q = forward(board, p)
+                assert q == forward(Board(board.heights), p), (board, p)
+                assert backward(board, q) == backward(Board(board.heights), q) == p, (board, q)
+
+
+def test_unchecked_maps_on_reused_board_match_fresh_board_within_5():
+    # Unchecked, a map takes any full placement to an image or an error; as a
+    # pure function of (board, direction, placement), a reused board agrees.
+    def outcome(map_full, board, p):
+        try:
+            return map_full(board, p, check=False)
+        except RookbijError as exc:
+            return repr(exc)
+
+    for board in boards_within(5, full_only=True):
+        for _ in range(2):
+            for p in full_placements(board):
+                for map_full in (alpha, beta):
+                    assert outcome(map_full, board, p) == \
+                        outcome(map_full, Board(board.heights), p), (board, p)
