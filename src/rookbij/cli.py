@@ -19,8 +19,11 @@ from .conditions import format_sequence, parse_sequence
 from .enumeration import (
     MAX_FILTERED_PLACEMENTS,
     MAX_SWEEP_N,
+    MAX_WALK_SHAPES,
     THEOREM_TAGS,
     SweepReport,
+    _counting_method,
+    _walk_bound,
     count_avoiders,
     default_sweep,
     full_placement_count,
@@ -108,11 +111,14 @@ def cmd_reconstruct(args, board: Board) -> _Result:
 
 def cmd_count(args, board: Board) -> _Result:
     pattern = Pattern.parse(args.pattern)
-    # Other patterns filter every full placement; 231 and 312 count sequences.
-    if (pattern not in (PATTERN_231, PATTERN_312)
-            and full_placement_count(board) > MAX_FILTERED_PLACEMENTS):
+    # The sequence search of 231 and 312 has no size gate yet.
+    method = _counting_method(pattern)
+    if method == "filter" and full_placement_count(board) > MAX_FILTERED_PLACEMENTS:
         raise ParseError(f"board too large: counting {pattern}-avoiders filters at most "
                          f"{MAX_FILTERED_PLACEMENTS:,} full placements")
+    if method == "walk" and _walk_bound(board, pattern) > MAX_WALK_SHAPES:
+        raise ParseError(f"board too large: counting {pattern}-avoiders walks at most "
+                         f"{MAX_WALK_SHAPES:,} shapes")
     count = count_avoiders(board, pattern)
     return 0, [str(count)], lambda: {"pattern": args.pattern, "count": count}
 
@@ -170,6 +176,9 @@ def cmd_verify(args, _board: None) -> _Result:
     if args.parallel < 1:
         raise ParseError("--parallel must be at least 1")
     board = parse_board(args.board) if args.board is not None else None
+    if board is not None and max(board.n_cols, board.n_rows) > MAX_SWEEP_N:
+        raise ParseError(f"--board must fit within {MAX_SWEEP_N}x{MAX_SWEEP_N}, "
+                         "the box of the largest --max-n")
     tags = THEOREM_TAGS if args.theorem == "all" else (args.theorem,)
     reports: list[tuple[str, SweepReport]] = []
     for tag in tags:

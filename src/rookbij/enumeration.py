@@ -38,9 +38,16 @@ DEFAULT_BOUNDS = {"l1": 5, "t1": 5, "t2": 5, "t4": 5, "remark": 4}
 # 10^17 at n = 30.
 MAX_SWEEP_N = 9
 
-# Most full placements ``count`` filters for a pattern other than 231 and
-# 312: the 9! of the 9x9 board.
+# Most full placements ``count`` filters for a pattern it has no faster
+# count for: the 9! of the 9x9 board.
 MAX_FILTERED_PLACEMENTS = 362_880
+
+# Most shapes (``_walk_bound``) ``count`` walks for a monotone pattern,
+# about half a second single-threaded.  Every board under the filter limit
+# stays under it: a column with h_i - (n - i) = f rows left needs columns
+# before it with f - 1, ..., 1 left, so f <= 9 and no profile entry exceeds
+# 9, and each of at most 2001 border vertices keeps at most p(9) = 30 shapes.
+MAX_WALK_SHAPES = 100_000
 
 
 def full_placements(board: Board) -> Iterator[FullPlacement]:
@@ -87,13 +94,79 @@ def count_avoiders(board: Board, pattern: Pattern) -> int:
     placement the sequences meeting the pattern's conditions are exactly the
     avoiders' (theorems t1 and t2).  That takes time growing with the number
     of avoiders (the Catalan number on the n-by-n board) and runs no checker.
+    For the monotone patterns 12...k and k...21 it counts walks of partitions
+    along the border (``_shape_walks``), in time growing with the number of
+    shapes with at most k - 1 rows that fit under the marker-count profile.
     Every other pattern filters all full placements, up to n! of them.
     """
-    if pattern in (PATTERN_231, PATTERN_312):
-        if not board.admits_full_placement():
-            return 0
+    if not board.admits_full_placement():
+        return 0
+    method = _counting_method(pattern)
+    if method == "sequences":
         return sum(1 for _ in _border_sequences(board, pattern))
+    if method == "walk":
+        return _shape_walks(board, len(pattern.word) - 1)
     return sum(1 for p in full_placements(board) if avoids(board, p, pattern))
+
+
+def _counting_method(pattern: Pattern) -> str:
+    """How ``count_avoiders`` counts the pattern's avoiders: "sequences" (231
+    and 312), "walk" (12...k and k...21) or "filter" (any other pattern)."""
+    if pattern in (PATTERN_231, PATTERN_312):
+        return "sequences"
+    increasing = tuple(range(1, len(pattern.word) + 1))
+    if pattern.word in (increasing, increasing[::-1]):
+        return "walk"
+    return "filter"
+
+
+def _shape_walks(board: Board, rows: int) -> int:
+    """Walks of partitions with at most ``rows`` rows along the border, from
+    the empty shape back to it, adding one box on each rightward step and
+    removing one on each downward step.
+
+    By growth diagrams (Krattenthaler 2006) such walks with any number of rows
+    are the full placements: the shape at border vertex V has as many rows as
+    the longest decreasing and as many columns as the longest increasing
+    marker chain in R(V).  So the walks with at most k - 1 rows count the
+    k...21-avoiders and, transposing every shape, the 12...k-avoiders.  A
+    shape is kept as its ``rows`` row lengths, zeros included.
+    """
+    rows = min(rows, board.n_cols)  # no shape has more rows than boxes
+    walks = {(0,) * rows: 1}
+    for step in board.border_path.steps:
+        after: dict[tuple[int, ...], int] = {}
+        for shape, count in walks.items():
+            for r in range(rows):
+                if step == RIGHT:
+                    # a box ends row 0 or a row shorter than the row above
+                    if r and shape[r] == shape[r - 1]:
+                        continue
+                    moved = shape[:r] + (shape[r] + 1,) + shape[r + 1:]
+                else:
+                    # a box leaves a row longer than the row below
+                    if shape[r] == (shape[r + 1] if r + 1 < rows else 0):
+                        continue
+                    moved = shape[:r] + (shape[r] - 1,) + shape[r + 1:]
+                after[moved] = after.get(moved, 0) + count
+        walks = after
+    return walks.get((0,) * rows, 0)
+
+
+def _walk_bound(board: Board, pattern: Pattern) -> int:
+    """The shapes ``_shape_walks`` can keep for a monotone pattern, summed
+    over the border vertices: the partitions of each marker-count profile
+    entry into at most k - 1 parts.  A bound on its work, in O(n * k)."""
+    if not board.admits_full_placement():
+        return 0
+    profile = board.marker_count_profile
+    partitions = [1] + [0] * max(profile)
+    # Partitions into at most k - 1 parts, counted as partitions into parts
+    # of size at most k - 1 (conjugates).
+    for part in range(1, min(len(pattern.word) - 1, len(partitions) - 1) + 1):
+        for m in range(part, len(partitions)):
+            partitions[m] += partitions[m - part]
+    return sum(partitions[m] for m in profile)
 
 
 def rook_placements(board: Board) -> Iterator[Placement]:

@@ -296,17 +296,47 @@ def test_verify_refuses_oversized_sweeps_up_front(max_n):
     assert done.stderr == "error: --max-n must be at most 9, a sweep of 48,619 boards\n"
 
 
+def test_verify_refuses_boards_beyond_the_sweep_box():
+    # full_placements recurses once per column: 1000 columns passed Python's limit
+    for board in (",".join(["1000"] * 1000), ",".join(["9"] * 10), "10"):
+        done = _limited_cli("verify", "--board", board, "--theorem", "l1")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: --board must fit within 9x9, the box of the largest --max-n\n"
+    # the box itself is admitted
+    done = _limited_cli("verify", "--board", ",".join(["1"] * 9), "--theorem", "l1")
+    assert done.returncode == 0 and done.stderr == ""
+
+
 def test_count_refuses_boards_with_too_many_placements(capsys):
     # filtering 1000x1000 would recurse past Python's limit; 10x10 has 10! placements
     for board in (",".join(["1000"] * 1000), ",".join(["10"] * 10)):
-        for pattern in ("321", "1", "2413"):
-            assert run(capsys, "count", "--board", board, "--pattern", pattern) == (
-                2, "", f"error: board too large: counting {pattern}-avoiders filters at most "
-                       "362,880 full placements\n")
+        assert run(capsys, "count", "--board", board, "--pattern", "2413") == (
+            2, "", "error: board too large: counting 2413-avoiders filters at most "
+                   "362,880 full placements\n")
+        # the shape walk has no shape with a row for pattern 1
+        assert run(capsys, "count", "--board", board, "--pattern", "1") == (0, "0\n", "")
+    # monotone patterns walk shapes: 10x10 keeps 66 shapes for 321, 1000x1000 501,501
+    assert run(capsys, "count", "--board", ",".join(["10"] * 10), "--pattern", "321") == (
+        0, "16796\n", "")
+    done = _limited_cli("count", "--board", ",".join(["1000"] * 1000), "--pattern", "321")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: board too large: counting 321-avoiders walks at most " \
+                          "100,000 shapes\n"
     # the sequence count for 231 and 312 is not capped; 9x9 (9! placements) is admitted
     assert run(capsys, "count", "--board", ",".join(["10"] * 10), "--pattern", "312")[:2] == (
         0, "16796\n")
     assert full_placement_count(Board((9,) * 9)) == MAX_FILTERED_PLACEMENTS
+
+
+def test_count_answers_every_monotone_pattern_on_9x9(capsys):
+    # the walk gate admits the 9x9 square, as the filter gate did; on a square
+    # board these are the classical counts of 12...k-avoiding permutations of 9
+    classical = [0, 1, 4862, 94359, 261808, 344837, 361302, 362815, 362879]
+    for k, count in enumerate(classical, start=1):
+        increasing = "".join(map(str, range(1, k + 1)))
+        for word in (increasing, increasing[::-1]):
+            assert run(capsys, "count", "--board", ",".join(["9"] * 9), "--pattern", word) == (
+                0, f"{count}\n", ""), word
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys):

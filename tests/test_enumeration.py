@@ -26,7 +26,7 @@ from rookbij.placement import (
     avoids,
     s_sequence,
 )
-from oracles import lis_in_rectangle
+from oracles import count_avoiders_by_filter, lis_in_rectangle
 from strategies import boards
 
 
@@ -207,17 +207,24 @@ def test_default_sweep_bounds():
 
 def test_negative_control_231_vs_321():
     # the harness must be able to see a count difference somewhere: 231 and
-    # 321 are not interchangeable on Ferrers boards
-    witness = None
-    for n in range(2, 7):
-        for board in boards_within(n, full_only=True):
-            if count_avoiders(board, PATTERN_231) != count_avoiders(board, Pattern((3, 2, 1))):
-                witness = board
-                break
-        if witness:
-            break
-    assert witness is not None
-    assert witness.n_cols <= 6
+    # 321 are not interchangeable on Ferrers boards.  Both library counts
+    # take fast paths, so the claim is held on the brute-force filter.
+    pattern_321 = Pattern((3, 2, 1))
+    witness = next(board for board in boards_within(6, full_only=True)
+                   if count_avoiders_by_filter(board, PATTERN_231)
+                   != count_avoiders_by_filter(board, pattern_321))
+    assert witness == Board((4, 4, 4, 3))
+    for count in (count_avoiders_by_filter, count_avoiders):
+        assert (count(witness, PATTERN_231), count(witness, pattern_321)) == (12, 13)
+
+
+@pytest.mark.parametrize("increasing", [(1, 2, 3), (1, 2, 3, 4)], ids=str)
+def test_increasing_and_decreasing_patterns_are_shape_wilf_within_6(increasing):
+    # 123 ~ 321 and 1234 ~ 4321 on every board (Backelin-West-Xin 2007),
+    # counted by the brute-force filter only
+    for board in boards_within(6):
+        assert count_avoiders_by_filter(board, Pattern(increasing)) == \
+            count_avoiders_by_filter(board, Pattern(increasing[::-1])), board
 
 
 def _planted(original, mode):

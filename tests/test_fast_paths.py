@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from rookbij.bijection import alpha, alpha_general, beta, beta_general
 from rookbij.board import Board
-from rookbij.enumeration import boards_within, count_avoiders, full_placements, rook_placements
+from rookbij.enumeration import (
+    boards_within,
+    count_avoiders,
+    full_placement_count,
+    full_placements,
+    rook_placements,
+)
 from rookbij.errors import RookbijError
 from rookbij.placement import (
     PATTERN_231,
@@ -82,6 +88,24 @@ def test_sequence_count_matches_filter_within_6(pattern):
     for board in boards:
         assert count_avoiders(board, pattern) == count_avoiders_by_filter(board, pattern), board
     assert count_avoiders(Board((8,) * 8), pattern) == 1430
+
+
+@pytest.mark.parametrize("word", ["1", "12", "21", "123", "321", "1234", "4321", "12345",
+                                  "54321"])
+def test_shape_walk_matches_filter_within_6(word):
+    # every board, also those with no full placement, where both give 0
+    pattern = Pattern.parse(word)
+    for board in boards_within(6):
+        assert count_avoiders(board, pattern) == count_avoiders_by_filter(board, pattern), board
+
+
+def test_shape_walk_counts_every_placement_for_long_patterns_within_7():
+    # a pattern longer than the board leaves every shape on the walk, so the
+    # walks are all full placements: the product formula
+    for board in boards_within(7):
+        k = board.n_cols + 1
+        for word in (tuple(range(1, k + 1)), tuple(range(k, 0, -1))):
+            assert count_avoiders(board, Pattern(word)) == full_placement_count(board), board
 
 
 @pytest.mark.parametrize("forward,backward,pattern,n,placements", [
