@@ -11,7 +11,8 @@ import sys
 from collections import Counter
 
 from rookbij.cli import int_option
-from rookbij.enumeration import boards_within, count_avoiders
+from rookbij.enumeration import MAX_SWEEP_N, boards_within, count_avoiders
+from rookbij.errors import ParseError
 from rookbij.placement import Pattern
 
 
@@ -24,7 +25,12 @@ def main() -> int:
                         help="skip boards admitting no full placement")
     args = parser.parse_args()
 
-    patterns = [Pattern.parse(w) for w in args.patterns.split(",")]
+    if not 1 <= args.max_n <= MAX_SWEEP_N:
+        parser.error(f"--max-n must be between 1 and {MAX_SWEEP_N}")
+    try:
+        patterns = [Pattern.parse(w) for w in args.patterns.split(",")]
+    except ParseError as exc:
+        parser.error(str(exc))
     header = " ".join(f"{str(p):>6}" for p in patterns)
     print(f"{'board':<16}{header}")
     totals: Counter[str] = Counter()

@@ -17,16 +17,11 @@ from .bijection import _side, compact
 from .board import Board, _int_field, parse_board
 from .conditions import format_sequence, parse_sequence
 from .enumeration import (
-    MAX_FILTERED_PLACEMENTS,
     MAX_SWEEP_N,
-    MAX_WALK_SHAPES,
     THEOREM_TAGS,
     SweepReport,
-    _counting_method,
-    _walk_bound,
     count_avoiders,
     default_sweep,
-    full_placement_count,
     verify,
 )
 from .errors import (
@@ -110,16 +105,7 @@ def cmd_reconstruct(args, board: Board) -> _Result:
 
 
 def cmd_count(args, board: Board) -> _Result:
-    pattern = Pattern.parse(args.pattern)
-    # The sequence search of 231 and 312 has no size gate yet.
-    method = _counting_method(pattern)
-    if method == "filter" and full_placement_count(board) > MAX_FILTERED_PLACEMENTS:
-        raise ParseError(f"board too large: counting {pattern}-avoiders filters at most "
-                         f"{MAX_FILTERED_PLACEMENTS:,} full placements")
-    if method == "walk" and _walk_bound(board, pattern) > MAX_WALK_SHAPES:
-        raise ParseError(f"board too large: counting {pattern}-avoiders walks at most "
-                         f"{MAX_WALK_SHAPES:,} shapes")
-    count = count_avoiders(board, pattern)
+    count = count_avoiders(board, Pattern.parse(args.pattern))
     return 0, [str(count)], lambda: {"pattern": args.pattern, "count": count}
 
 

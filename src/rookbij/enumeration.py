@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 from .bijection import _side, alpha, alpha_general, beta, beta_general, plus_transform
 from .board import RIGHT, Board
 from .conditions import format_sequence
-from .errors import RookbijError
+from .errors import ParseError, RookbijError
 from .placement import (
     PATTERN_231,
     PATTERN_312,
@@ -38,16 +38,21 @@ DEFAULT_BOUNDS = {"l1": 5, "t1": 5, "t2": 5, "t4": 5, "remark": 4}
 # 10^17 at n = 30.
 MAX_SWEEP_N = 9
 
-# Most full placements ``count`` filters for a pattern it has no faster
-# count for: the 9! of the 9x9 board.
+# Most full placements ``count_avoiders`` filters for a pattern it has no
+# faster count for: the 9! of the 9x9 board.  Checked before any work.
 MAX_FILTERED_PLACEMENTS = 362_880
 
-# Most shapes (``_walk_bound``) ``count`` walks for a monotone pattern,
-# about half a second single-threaded.  Every board under the filter limit
-# stays under it: a column with h_i - (n - i) = f rows left needs columns
-# before it with f - 1, ..., 1 left, so f <= 9 and no profile entry exceeds
+# Most shapes ``count_avoiders`` walks for a monotone pattern, summed over the
+# border vertices; about half a second single-threaded.  Every board under the
+# filter limit stays under it: a column with h_i - (n - i) = f rows left needs
+# columns before it with f - 1, ..., 1 left, so f <= 9, no marker count exceeds
 # 9, and each of at most 2001 border vertices keeps at most p(9) = 30 shapes.
 MAX_WALK_SHAPES = 100_000
+
+# Most values the 231/312 border-sequence search assigns, a few seconds
+# single-threaded.  The largest square it finishes is 12x12 (1,419,949 values
+# for 312); within 9x9 it assigns at most 32,521, on the 9x9 square for 312.
+MAX_SEQUENCE_NODES = 2_000_000
 
 
 def full_placements(board: Board) -> Iterator[FullPlacement]:
@@ -98,43 +103,46 @@ def count_avoiders(board: Board, pattern: Pattern) -> int:
     along the border (``_shape_walks``), in time growing with the number of
     shapes with at most k - 1 rows that fit under the marker-count profile.
     Every other pattern filters all full placements, up to n! of them.
+
+    Each path has a size limit and raises ParseError naming it: the filter
+    refuses a board with more than MAX_FILTERED_PLACEMENTS full placements
+    before any work, the walk stops past MAX_WALK_SHAPES shapes and the
+    sequence search past MAX_SEQUENCE_NODES assigned values.
     """
     if not board.admits_full_placement():
         return 0
-    method = _counting_method(pattern)
-    if method == "sequences":
+    if pattern in (PATTERN_231, PATTERN_312):
         return sum(1 for _ in _border_sequences(board, pattern))
-    if method == "walk":
-        return _shape_walks(board, len(pattern.word) - 1)
+    increasing = tuple(range(1, len(pattern.word) + 1))
+    if pattern.word in (increasing, increasing[::-1]):
+        return _shape_walks(board, pattern)
+    if full_placement_count(board) > MAX_FILTERED_PLACEMENTS:
+        raise ParseError(f"board too large: counting {pattern}-avoiders filters at most "
+                         f"{MAX_FILTERED_PLACEMENTS:,} full placements")
     return sum(1 for p in full_placements(board) if avoids(board, p, pattern))
 
 
-def _counting_method(pattern: Pattern) -> str:
-    """How ``count_avoiders`` counts the pattern's avoiders: "sequences" (231
-    and 312), "walk" (12...k and k...21) or "filter" (any other pattern)."""
-    if pattern in (PATTERN_231, PATTERN_312):
-        return "sequences"
-    increasing = tuple(range(1, len(pattern.word) + 1))
-    if pattern.word in (increasing, increasing[::-1]):
-        return "walk"
-    return "filter"
-
-
-def _shape_walks(board: Board, rows: int) -> int:
-    """Walks of partitions with at most ``rows`` rows along the border, from
-    the empty shape back to it, adding one box on each rightward step and
-    removing one on each downward step.
+def _shape_walks(board: Board, pattern: Pattern) -> int:
+    """Walks of partitions with at most k - 1 rows along the border, k the
+    length of the monotone pattern, from the empty shape back to it, adding
+    one box on each rightward step and removing one on each downward step.
 
     By growth diagrams (Krattenthaler 2006) such walks with any number of rows
     are the full placements: the shape at border vertex V has as many rows as
     the longest decreasing and as many columns as the longest increasing
     marker chain in R(V).  So the walks with at most k - 1 rows count the
     k...21-avoiders and, transposing every shape, the 12...k-avoiders.  A
-    shape is kept as its ``rows`` row lengths, zeros included.
+    shape is kept as its row lengths, zeros included.  Raises ParseError once
+    the shapes kept before each step sum to more than MAX_WALK_SHAPES.
     """
-    rows = min(rows, board.n_cols)  # no shape has more rows than boxes
+    rows = min(len(pattern.word) - 1, board.n_cols)  # no shape has more rows than boxes
     walks = {(0,) * rows: 1}
+    walked = 0
     for step in board.border_path.steps:
+        walked += len(walks)
+        if walked > MAX_WALK_SHAPES:
+            raise ParseError(f"board too large: counting {pattern}-avoiders walks at most "
+                             f"{MAX_WALK_SHAPES:,} shapes")
         after: dict[tuple[int, ...], int] = {}
         for shape, count in walks.items():
             for r in range(rows):
@@ -151,22 +159,6 @@ def _shape_walks(board: Board, rows: int) -> int:
                 after[moved] = after.get(moved, 0) + count
         walks = after
     return walks.get((0,) * rows, 0)
-
-
-def _walk_bound(board: Board, pattern: Pattern) -> int:
-    """The shapes ``_shape_walks`` can keep for a monotone pattern, summed
-    over the border vertices: the partitions of each marker-count profile
-    entry into at most k - 1 parts.  A bound on its work, in O(n * k)."""
-    if not board.admits_full_placement():
-        return 0
-    profile = board.marker_count_profile
-    partitions = [1] + [0] * max(profile)
-    # Partitions into at most k - 1 parts, counted as partitions into parts
-    # of size at most k - 1 (conjugates).
-    for part in range(1, min(len(pattern.word) - 1, len(partitions) - 1) + 1):
-        for m in range(part, len(partitions)):
-            partitions[m] += partitions[m - part]
-    return sum(partitions[m] for m in profile)
 
 
 def rook_placements(board: Board) -> Iterator[Placement]:
@@ -225,7 +217,8 @@ def _border_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...
     after a rightward step, minus 0 or 1 after a downward one; within
     [0, profile[i]]; not a second zero in a row; and, for every diagonal pair
     (k, i), at least (231) or at most (312) the value at k.  A sequence is
-    kept when its last value is 0.  Runs no checker.
+    kept when its last value is 0.  Runs no checker.  Raises ParseError once
+    it has assigned more than MAX_SEQUENCE_NODES values.
     """
     diagonal_le = _side(pattern).diagonal_le
     profile = board.marker_count_profile
@@ -252,6 +245,7 @@ def _border_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...
 
     # pending[i - 1] holds the values still to try at index i.
     pending = [iter(allowed(1))]
+    budget = MAX_SEQUENCE_NODES
     while pending:
         i = len(pending)
         v = next(pending[-1], None)
@@ -259,6 +253,10 @@ def _border_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...
             pending.pop()
             continue
         values[i] = v
+        budget -= 1
+        if budget < 0:
+            raise ParseError(f"board too large: counting {pattern}-avoiders searches at most "
+                             f"{MAX_SEQUENCE_NODES:,} sequence prefixes")
         if i < last:
             pending.append(iter(allowed(i + 1)))
         elif v == 0:
@@ -273,7 +271,9 @@ def valid_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]
     condition as soon as its last index is assigned; each is then run through
     the full checker as a cross-check, which rejects none.  On a
     square-bounded board these are exactly the border sequences of the
-    pattern's avoiders (theorem t2).
+    pattern's avoiders (theorem t2).  Raises ParseError, as
+    ``count_avoiders`` does, once the search has assigned more than
+    MAX_SEQUENCE_NODES values.
     """
     checker = _side(pattern).check
     for seq in _border_sequences(board, pattern):

@@ -6,7 +6,8 @@ class RookbijError(Exception):
 
 
 class ParseError(RookbijError):
-    """Malformed textual input (board, placement, sequence, or pattern)."""
+    """Malformed textual input (board, placement, sequence, or pattern), or
+    input past a size limit (a board too large to count or sweep)."""
 
 
 class InvalidPlacement(RookbijError):

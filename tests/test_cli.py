@@ -322,21 +322,29 @@ def test_count_refuses_boards_with_too_many_placements(capsys):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: board too large: counting 321-avoiders walks at most " \
                           "100,000 shapes\n"
-    # the sequence count for 231 and 312 is not capped; 9x9 (9! placements) is admitted
+    # the sequence count for 231 and 312 is capped by the values it assigns, not by
+    # placements; 9x9 (9! placements) is admitted
     assert run(capsys, "count", "--board", ",".join(["10"] * 10), "--pattern", "312")[:2] == (
         0, "16796\n")
     assert full_placement_count(Board((9,) * 9)) == MAX_FILTERED_PLACEMENTS
+    # 1000x1000 has the 1000th Catalan number of 231-avoiders
+    done = _limited_cli("count", "--board", ",".join(["1000"] * 1000), "--pattern", "231")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: board too large: counting 231-avoiders searches at most " \
+                          "2,000,000 sequence prefixes\n"
 
 
 def test_count_answers_every_monotone_pattern_on_9x9(capsys):
-    # the walk gate admits the 9x9 square, as the filter gate did; on a square
+    # the walk limit admits the 9x9 square, as the filter limit did; on a square
     # board these are the classical counts of 12...k-avoiding permutations of 9
     classical = [0, 1, 4862, 94359, 261808, 344837, 361302, 362815, 362879]
+    cases = [("231", 4862), ("312", 4862)]  # the sequence search's worst case within 9x9
     for k, count in enumerate(classical, start=1):
         increasing = "".join(map(str, range(1, k + 1)))
-        for word in (increasing, increasing[::-1]):
-            assert run(capsys, "count", "--board", ",".join(["9"] * 9), "--pattern", word) == (
-                0, f"{count}\n", ""), word
+        cases += [(increasing, count), (increasing[::-1], count)]
+    for word, count in cases:
+        assert run(capsys, "count", "--board", ",".join(["9"] * 9), "--pattern", word) == (
+            0, f"{count}\n", ""), word
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys):

@@ -17,7 +17,7 @@ from rookbij.enumeration import (
     valid_sequences,
     verify,
 )
-from rookbij.errors import ReconstructionFailure
+from rookbij.errors import ParseError, ReconstructionFailure
 from rookbij.placement import (
     PATTERN_231,
     PATTERN_312,
@@ -61,6 +61,19 @@ def test_full_placements_lexicographic_and_unique():
 ])
 def test_count_avoiders(heights, pattern, count):
     assert count_avoiders(Board(heights), Pattern.parse(pattern)) == count
+
+
+def test_count_budgets_stop_the_sequence_search_and_the_shape_walk(monkeypatch):
+    # 1430 avoiders each on 8x8; the budgets are read at call time
+    monkeypatch.setattr(enumeration, "MAX_SEQUENCE_NODES", 1000)
+    with pytest.raises(ParseError, match="searches at most 1,000 sequence prefixes"):
+        count_avoiders(Board((8,) * 8), PATTERN_312)
+    with pytest.raises(ParseError, match="searches at most 1,000 sequence prefixes"):
+        list(valid_sequences(Board((8,) * 8), PATTERN_231))
+    assert count_avoiders(Board((6,) * 6), Pattern.parse("321")) == 132
+    monkeypatch.setattr(enumeration, "MAX_WALK_SHAPES", 10)
+    with pytest.raises(ParseError, match="walks at most 10 shapes"):
+        count_avoiders(Board((6,) * 6), Pattern.parse("321"))
 
 
 def _brute_rook_count(board):
