@@ -205,7 +205,8 @@ def compact(board: Board, placement) -> tuple[CompactionContext, FullPlacement]:
     The surviving squares form a smaller Ferrers board on which the re-indexed
     markers are a full placement.  Compaction preserves 231- and 312-avoidance
     in both directions.  The board keeps one compact board per heights, so
-    placements of one board that compact alike share its map images.
+    placements of one board that compact alike share its map images; a
+    placement that occupies every column and row compacts to the board itself.
     """
     placement.validate_on(board)
     markers = sorted(placement.markers)
@@ -213,10 +214,13 @@ def compact(board: Board, placement) -> tuple[CompactionContext, FullPlacement]:
         return CompactionContext((), (), None), FullPlacement(())
     cols = tuple(sorted(c for c, _ in markers))
     rows = tuple(sorted(r for _, r in markers))
-    heights = tuple(sum(1 for r in rows if r <= board.heights[c - 1]) for c in cols)
-    compact_board = board._compact_boards.get(heights)
-    if compact_board is None:
-        compact_board = board._compact_boards[heights] = Board(heights)
+    if len(cols) == board.n_cols and len(rows) == board.n_rows:
+        compact_board = board  # nothing to delete
+    else:
+        heights = tuple(sum(1 for r in rows if r <= board.heights[c - 1]) for c in cols)
+        compact_board = board._compact_boards.get(heights)
+        if compact_board is None:
+            compact_board = board._compact_boards[heights] = Board(heights)
     row_rank = {r: i for i, r in enumerate(rows, start=1)}
     full = FullPlacement(tuple(row_rank[r] for _, r in markers))
     full.validate_on(compact_board)

@@ -106,13 +106,20 @@ class Board:
         return tuple(values)
 
     def conjugate(self) -> Board:
-        """Reflect the board across the main diagonal; built once per board."""
+        """Reflect the board across the main diagonal; built once per board,
+        and the conjugate's conjugate is this board."""
         return self._conjugate
 
     @cached_property
     def _conjugate(self) -> Board:
-        return Board(tuple(sum(1 for h in self.heights if h >= y)
-                           for y in range(1, self.n_rows + 1)))
+        # Row y is as long as the columns reaching it: walking the columns
+        # from the shortest, column c is the last to reach rows up to h_c.
+        rows: list[int] = []
+        for c in range(self.n_cols, 0, -1):
+            rows.extend([c] * (self.heights[c - 1] - len(rows)))
+        conj = Board(tuple(rows))
+        conj.__dict__["_conjugate"] = self  # the cached_property's slot
+        return conj
 
     # Results of pure functions of this board, filled in by ``bijection``:
     # its compacted boards by heights, and its map images by (avoided

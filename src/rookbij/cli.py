@@ -162,9 +162,6 @@ def cmd_verify(args, _board: None) -> _Result:
     if args.parallel < 1:
         raise ParseError("--parallel must be at least 1")
     board = parse_board(args.board) if args.board is not None else None
-    if board is not None and max(board.n_cols, board.n_rows) > MAX_SWEEP_N:
-        raise ParseError(f"--board must fit within {MAX_SWEEP_N}x{MAX_SWEEP_N}, "
-                         "the box of the largest --max-n")
     tags = THEOREM_TAGS if args.theorem == "all" else (args.theorem,)
     reports: list[tuple[str, SweepReport]] = []
     for tag in tags:

@@ -42,16 +42,20 @@ MAX_SWEEP_N = 9
 # faster count for: the 9! of the 9x9 board.  Checked before any work.
 MAX_FILTERED_PLACEMENTS = 362_880
 
-# Most shapes ``count_avoiders`` walks for a monotone pattern, summed over the
-# border vertices; about half a second single-threaded.  Every board under the
-# filter limit stays under it: a column with h_i - (n - i) = f rows left needs
+# Most states a ``count_avoiders`` walk keeps, summed over the border vertices:
+# shapes for a monotone pattern, border states for 231 and 312; about half a
+# second single-threaded.  Every board under the filter limit stays under it
+# for monotone patterns: a column with h_i - (n - i) = f rows left needs
 # columns before it with f - 1, ..., 1 left, so f <= 9, no marker count exceeds
 # 9, and each of at most 2001 border vertices keeps at most p(9) = 30 shapes.
+# For 231 and 312 the largest square it finishes is 15x15 (about 64,500
+# states); 8x8 keeps fewer than 500.
 MAX_WALK_SHAPES = 100_000
 
-# Most values the 231/312 border-sequence search assigns, a few seconds
-# single-threaded.  The largest square it finishes is 12x12 (1,419,949 values
-# for 312); within 9x9 it assigns at most 32,521, on the 9x9 square for 312.
+# Most values the 231/312 border-sequence listing behind ``valid_sequences``
+# assigns, a few seconds single-threaded.  The largest square it finishes is
+# 12x12 (1,419,949 values for 312); within 9x9 it assigns at most 32,521, on
+# the 9x9 square for 312.
 MAX_SEQUENCE_NODES = 2_000_000
 
 
@@ -97,8 +101,8 @@ def count_avoiders(board: Board, pattern: Pattern) -> int:
     For 231 and 312 this counts border sequences instead of placements: an
     avoider is fixed by its border sequence, and on a board with a full
     placement the sequences meeting the pattern's conditions are exactly the
-    avoiders' (theorems t1 and t2).  That takes time growing with the number
-    of avoiders (the Catalan number on the n-by-n board) and runs no checker.
+    avoiders' (theorems t1 and t2).  A transfer walk along the border counts
+    them (``_sequence_walks``) without listing them and runs no checker.
     For the monotone patterns 12...k and k...21 it counts walks of partitions
     along the border (``_shape_walks``), in time growing with the number of
     shapes with at most k - 1 rows that fit under the marker-count profile.
@@ -106,13 +110,13 @@ def count_avoiders(board: Board, pattern: Pattern) -> int:
 
     Each path has a size limit and raises ParseError naming it: the filter
     refuses a board with more than MAX_FILTERED_PLACEMENTS full placements
-    before any work, the walk stops past MAX_WALK_SHAPES shapes and the
-    sequence search past MAX_SEQUENCE_NODES assigned values.
+    before any work, and both walks stop once the states they keep pass
+    MAX_WALK_SHAPES.
     """
     if not board.admits_full_placement():
         return 0
     if pattern in (PATTERN_231, PATTERN_312):
-        return sum(1 for _ in _border_sequences(board, pattern))
+        return _sequence_walks(board, pattern)
     increasing = tuple(range(1, len(pattern.word) + 1))
     if pattern.word in (increasing, increasing[::-1]):
         return _shape_walks(board, pattern)
@@ -208,40 +212,114 @@ def boards_within(n: int, square_bounded_only: bool = False,
             yield board
 
 
+def _border_rules(board: Board) -> list[tuple[bool, int, int | None, bool]]:
+    """The 231/312 conditions at each border index i, as the tuple (rise,
+    cap, left end, opens): whether the step into i is rightward, the profile
+    value capping i, the left end k of the kept diagonal pair (k, i) (None if
+    no kept pair ends at i), and whether a kept pair starts at i.
+
+    Of the in-board diagonal pairs only (k, j), j the first border vertex down
+    k's diagonal, are kept; the others on that diagonal chain through kept
+    ones, so they follow by transitivity.  A diagonal meets the border only at
+    vertices, and its stretch between two consecutive ones lies wholly on or
+    off the board, so each vertex pairs with the previous border vertex on its
+    diagonal x + y when the diagonal leaves that one into the board.  Kept
+    pairs never cross: a diagonal entering the region between another kept
+    pair's diagonal and the border can leave it only through the border.
+    """
+    path = board.border_path
+    profile = board.marker_count_profile
+    heights = board.heights
+    left_ends: list[int | None] = [None] * len(profile)
+    opens = [False] * len(profile)
+    last_on: dict[int, int] = {}  # the last border index seen on each diagonal x + y
+    for i, (x, y) in enumerate(path.vertices):
+        k = last_on.get(x + y)
+        if k is not None:
+            kx, ky = path.vertices[k]
+            if kx < board.n_cols and 1 <= ky <= heights[kx]:
+                left_ends[i] = k
+                opens[k] = True
+        last_on[x + y] = i
+    rises = [False] + [step == RIGHT for step in path.steps]
+    return list(zip(rises, profile, left_ends, opens))
+
+
+def _allowed(rise: bool, cap: int, prev: int, left: int | None, diagonal_le: bool) -> range:
+    """Values the 231- (``diagonal_le``) or 312-conditions allow at a border
+    index, given its rise and cap, the value ``prev`` before it and the value
+    ``left`` at the left end of the kept diagonal pair it closes (None if
+    none): ``prev`` plus 0 or 1 after a rightward step, minus 0 or 1 after a
+    downward one; within [0, cap]; not a second zero in a row; and at least
+    (231) or at most (312) ``left``."""
+    low, high = (prev, prev + 1) if rise else (prev - 1, prev)
+    if not prev:
+        low = 1
+    if high > cap:
+        high = cap
+    if left is not None:
+        if diagonal_le:
+            low = max(low, left)
+        else:
+            high = min(high, left)
+    return range(low, high + 1)
+
+
+def _sequence_walks(board: Board, pattern: Pattern) -> int:
+    """Border sequences meeting the 231- or 312-conditions within the
+    marker-count profile, counted by a transfer walk along the border.
+
+    Kept diagonal pairs nest like brackets (``_border_rules``), so the values
+    still owed a diagonal comparison form a stack, and a state is the value
+    at the current index with that stack.  Each step keeps one count per
+    state: it takes the values ``_allowed`` gives, pops the left end's value
+    at an index that closes a pair and pushes the new value at one that opens
+    a pair.  The count is that of the state (0, ()) at the last index.
+    Raises ParseError once the states kept before each step sum to more than
+    MAX_WALK_SHAPES.
+    """
+    diagonal_le = _side(pattern).diagonal_le
+    rules = _border_rules(board)
+    walks: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) if rules[0][3] else ()): 1}
+    walked = 0
+    for rise, cap, left_end, opens in rules[1:]:
+        walked += len(walks)
+        if walked > MAX_WALK_SHAPES:
+            raise ParseError(f"board too large: counting {pattern}-avoiders walks at most "
+                             f"{MAX_WALK_SHAPES:,} border states")
+        after: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (prev, stack), count in walks.items():
+            left = None
+            if left_end is not None:
+                left, stack = stack[-1], stack[:-1]
+            for v in _allowed(rise, cap, prev, left, diagonal_le):
+                state = (v, stack + (v,)) if opens else (v, stack)
+                after[state] = after.get(state, 0) + count
+        walks = after
+    return walks.get((0, ()), 0)
+
+
 def _border_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]:
     """Border sequences within the marker-count profile that meet the 231- or
     312-conditions, lexicographically.
 
-    A depth-first search along the border that assigns index i only a value
-    the conditions allow given indices 0..i-1: the previous value plus 0 or 1
-    after a rightward step, minus 0 or 1 after a downward one; within
-    [0, profile[i]]; not a second zero in a row; and, for every diagonal pair
-    (k, i), at least (231) or at most (312) the value at k.  A sequence is
-    kept when its last value is 0.  Runs no checker.  Raises ParseError once
-    it has assigned more than MAX_SEQUENCE_NODES values.
+    A depth-first search along the border that assigns index i only the
+    values ``_allowed`` gives after indices 0..i-1, reading the rules of
+    ``_border_rules``.  A sequence is kept when its last value is 0.  Runs no
+    checker.  Raises ParseError once it has assigned more than
+    MAX_SEQUENCE_NODES values.
     """
     diagonal_le = _side(pattern).diagonal_le
-    profile = board.marker_count_profile
-    if min(profile) < 0:  # no value fits below a negative cap
+    if min(board.marker_count_profile) < 0:  # no value fits below a negative cap
         return
-    rises = [step == RIGHT for step in board.border_path.steps]
-    last = len(profile) - 1
-    left_ends: list[list[int]] = [[] for _ in profile]
-    for i, j in board.diagonal_pairs:
-        left_ends[j].append(i)
-    values = [0] * len(profile)
+    rules = _border_rules(board)
+    last = len(rules) - 1
+    values = [0] * len(rules)
 
     def allowed(i: int) -> range:
-        prev = values[i - 1]
-        low, high = (prev, prev + 1) if rises[i - 1] else (prev - 1, prev)
-        low = max(low, 0 if prev else 1)
-        high = min(high, profile[i])
-        for k in left_ends[i]:
-            if diagonal_le:
-                low = max(low, values[k])
-            else:
-                high = min(high, values[k])
-        return range(low, high + 1)
+        rise, cap, left_end, _ = rules[i]
+        left = None if left_end is None else values[left_end]
+        return _allowed(rise, cap, values[i - 1], left, diagonal_le)
 
     # pending[i - 1] holds the values still to try at index i.
     pending = [iter(allowed(1))]
@@ -267,13 +345,13 @@ def valid_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]
     """Border sequences within the marker-count profile passing the 231- or
     312-conditions, lexicographically.
 
-    The pruned search behind ``count_avoiders`` generates them, checking each
-    condition as soon as its last index is assigned; each is then run through
-    the full checker as a cross-check, which rejects none.  On a
-    square-bounded board these are exactly the border sequences of the
-    pattern's avoiders (theorem t2).  Raises ParseError, as
-    ``count_avoiders`` does, once the search has assigned more than
-    MAX_SEQUENCE_NODES values.
+    A pruned search reading the rule table that ``count_avoiders`` walks
+    generates them, checking each condition as soon as its last index is
+    assigned; each is then run through the full checker, whose diagonal
+    conditions cover every in-board pair, as a cross-check, which rejects
+    none.  On a square-bounded board these are exactly the border sequences
+    of the pattern's avoiders (theorem t2).  Raises ParseError once the
+    search has assigned more than MAX_SEQUENCE_NODES values.
     """
     checker = _side(pattern).check
     for seq in _border_sequences(board, pattern):
@@ -458,8 +536,19 @@ _CHECKS = {
 }
 
 
+def _require_within_sweep_box(board: Board) -> None:
+    # The checks enumerate up to n! placements, recursing once per column.
+    if max(board.n_cols, board.n_rows) > MAX_SWEEP_N:
+        raise ParseError(f"--board must fit within {MAX_SWEEP_N}x{MAX_SWEEP_N}, "
+                         "the box of the largest --max-n")
+
+
 def check_board(board: Board, theorem: str) -> list[Failure]:
-    """Run one verification check on one board; failures are data, not errors."""
+    """Run one verification check on one board; failures are data, not errors.
+
+    Raises ParseError for a board beyond the MAX_SWEEP_N-square sweep box.
+    """
+    _require_within_sweep_box(board)
     return _CHECKS[theorem](board)
 
 
@@ -485,11 +574,15 @@ def verify(boards: Board | Iterable[Board], theorem: str = "all",
     ``boards`` may be a single board or an iterable; ``theorem`` is one of
     the tags in THEOREM_TAGS or "all".  ``parallel`` worker processes are
     started, at most one per board and per CPU.  Reports are merged in board
-    order, so output does not depend on ``parallel``.
+    order, so output does not depend on ``parallel``.  Raises ParseError,
+    before any check runs, if a board does not fit in the MAX_SWEEP_N-square
+    box that sweeps are limited to.
     """
     if isinstance(boards, Board):
         boards = [boards]
     boards = list(boards)
+    for board in boards:
+        _require_within_sweep_box(board)
     if theorem == "all":
         tags = THEOREM_TAGS
     elif theorem in THEOREM_TAGS:

@@ -110,3 +110,9 @@ def diagonal_pairs_by_scan(board: Board) -> tuple[tuple[int, int], ...]:
             ):
                 pairs.append((i, j))
     return tuple(pairs)
+
+
+def conjugate_by_rows(board: Board) -> Board:
+    """The conjugate board, each row's length counted over every column."""
+    return Board(tuple(sum(1 for h in board.heights if h >= y)
+                       for y in range(1, board.n_rows + 1)))

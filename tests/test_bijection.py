@@ -179,6 +179,15 @@ def test_compact_full_placement_is_identity(pair):
     assert context.compact_board == board
 
 
+@given(boards_with_full_placement())
+def test_compact_full_placement_keeps_the_board(pair):
+    # nothing is deleted, so the board itself, with its geometry and images, is reused
+    board, placement = pair
+    assert compact(board, placement)[0].compact_board is board
+    assert compact(board, Placement(placement.markers))[0].compact_board is board
+    assert not board._compact_boards
+
+
 @given(boards_with_rook_placement())
 def test_compact_expand_round_trip(pair):
     board, placement = pair

@@ -5,8 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rookbij.board import Board, Vertex, _int_field, parse_board
-from rookbij.enumeration import full_placements
+from rookbij.enumeration import boards_within, full_placements
 from rookbij.errors import ParseError
+from oracles import conjugate_by_rows
 from strategies import admitting_boards, boards
 
 
@@ -108,6 +109,12 @@ def test_conjugate_built_once_per_board():
 @given(boards())
 def test_conjugate_involution(board):
     assert board.conjugate().conjugate() == board
+
+
+def test_conjugate_matches_row_count_within_7():
+    for board in boards_within(7):
+        assert board.conjugate() == conjugate_by_rows(board), board
+        assert board.conjugate().conjugate() is board
 
 
 @given(boards())

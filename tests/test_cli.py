@@ -322,16 +322,16 @@ def test_count_refuses_boards_with_too_many_placements(capsys):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: board too large: counting 321-avoiders walks at most " \
                           "100,000 shapes\n"
-    # the sequence count for 231 and 312 is capped by the values it assigns, not by
-    # placements; 9x9 (9! placements) is admitted
+    # the sequence walk for 231 and 312 is capped by the border states it keeps, not
+    # by placements; 9x9 (9! placements) is admitted
     assert run(capsys, "count", "--board", ",".join(["10"] * 10), "--pattern", "312")[:2] == (
         0, "16796\n")
     assert full_placement_count(Board((9,) * 9)) == MAX_FILTERED_PLACEMENTS
     # 1000x1000 has the 1000th Catalan number of 231-avoiders
     done = _limited_cli("count", "--board", ",".join(["1000"] * 1000), "--pattern", "231")
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == "error: board too large: counting 231-avoiders searches at most " \
-                          "2,000,000 sequence prefixes\n"
+    assert done.stderr == "error: board too large: counting 231-avoiders walks at most " \
+                          "100,000 border states\n"
 
 
 def test_count_answers_every_monotone_pattern_on_9x9(capsys):

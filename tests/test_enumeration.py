@@ -64,10 +64,15 @@ def test_count_avoiders(heights, pattern, count):
 
 
 def test_count_budgets_stop_the_sequence_search_and_the_shape_walk(monkeypatch):
-    # 1430 avoiders each on 8x8; the budgets are read at call time
-    monkeypatch.setattr(enumeration, "MAX_SEQUENCE_NODES", 1000)
-    with pytest.raises(ParseError, match="searches at most 1,000 sequence prefixes"):
+    # 1430 avoiders each on 8x8; the budgets are read at call time.  The count
+    # walks fewer than 1000 border states there; the listing assigns more values.
+    monkeypatch.setattr(enumeration, "MAX_WALK_SHAPES", 1000)
+    assert count_avoiders(Board((8,) * 8), PATTERN_312) == 1430
+    monkeypatch.setattr(enumeration, "MAX_WALK_SHAPES", 400)
+    with pytest.raises(ParseError, match="walks at most 400 border states"):
         count_avoiders(Board((8,) * 8), PATTERN_312)
+    monkeypatch.setattr(enumeration, "MAX_WALK_SHAPES", 100_000)
+    monkeypatch.setattr(enumeration, "MAX_SEQUENCE_NODES", 1000)
     with pytest.raises(ParseError, match="searches at most 1,000 sequence prefixes"):
         list(valid_sequences(Board((8,) * 8), PATTERN_231))
     assert count_avoiders(Board((6,) * 6), Pattern.parse("321")) == 132
@@ -204,6 +209,25 @@ def test_verify_caps_worker_count(monkeypatch, cpus, n_boards, expected):
     report = verify(list(boards_within(2))[:n_boards], "l1", parallel=10**6)
     assert report.boards_checked == n_boards and report.passed
     assert started == ([] if expected is None else [expected])
+
+
+def test_verify_and_check_board_refuse_boards_beyond_the_sweep_box(monkeypatch):
+    # full_placements recurses once per column, past Python's limit at 1000 columns
+    message = "--board must fit within 9x9, the box of the largest --max-n"
+    with pytest.raises(ParseError, match=message):
+        verify(Board((1000,) * 1000), "l1")
+    for heights in ((10,) * 10, (10,), (1,) * 10):
+        with pytest.raises(ParseError, match=message):
+            check_board(Board(heights), "t1")
+    # every board is checked before any check runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(enumeration, "_board_failures", no_work)
+    with pytest.raises(ParseError, match=message):
+        verify([Board((3, 3, 3)), Board((10,))], "l1")
+    monkeypatch.undo()
+    assert verify(Board((1,) * 9), "l1").passed
 
 
 def test_verify_rejects_unknown_tag():

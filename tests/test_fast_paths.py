@@ -1,6 +1,7 @@
 """Differential tests: each fast kernel against the slow scan it replaced."""
 
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from rookbij.bijection import alpha, alpha_general, beta, beta_general
 from rookbij.board import Board
 from rookbij.enumeration import (
+    _border_rules,
+    _border_sequences,
+    _sequence_walks,
     boards_within,
     count_avoiders,
     full_placement_count,
@@ -88,6 +92,43 @@ def test_sequence_count_matches_filter_within_6(pattern):
     for board in boards:
         assert count_avoiders(board, pattern) == count_avoiders_by_filter(board, pattern), board
     assert count_avoiders(Board((8,) * 8), pattern) == 1430
+
+
+def test_kept_diagonal_pairs_nest_and_imply_every_pair_within_8():
+    for board in boards_within(8):
+        rules = _border_rules(board)
+        kept = [(k, i) for i, (_, _, k, _) in enumerate(rules) if k is not None]
+        # the first pair of each left end, in the scan's order
+        first = {}
+        for i, j in board.diagonal_pairs:
+            first.setdefault(i, j)
+        assert sorted(kept) == sorted(first.items()), board
+        assert [i for i, (_, _, _, opens) in enumerate(rules) if opens] == sorted(first), board
+        # brackets: never k1 < k2 < j1 < j2
+        for k1, j1 in kept:
+            for k2, j2 in kept:
+                assert not k1 < k2 < j1 < j2, (board, (k1, j1), (k2, j2))
+        # every pair (i, j) is a chain of kept pairs, so it follows by transitivity
+        for i, j in board.diagonal_pairs:
+            while i < j:
+                i = first[i]
+            assert i == j, board
+
+
+def test_sequence_walk_matches_listing_within_8():
+    # every board whose profile is nonnegative; the others give 0 on both
+    boards = [b for b in boards_within(8) if min(b.marker_count_profile) >= 0]
+    assert len(boards) == 4861
+    for board in boards:
+        for pattern in (PATTERN_231, PATTERN_312):
+            assert _sequence_walks(board, pattern) == \
+                sum(1 for _ in _border_sequences(board, pattern)), (board, pattern)
+
+
+@pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
+def test_sequence_walk_counts_catalan_on_squares_to_15(pattern):
+    for n in range(1, 16):
+        assert _sequence_walks(Board((n,) * n), pattern) == comb(2 * n, n) // (n + 1), n
 
 
 @pytest.mark.parametrize("word", ["1", "12", "21", "123", "321", "1234", "4321", "12345",
