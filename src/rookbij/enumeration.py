@@ -42,21 +42,15 @@ MAX_SWEEP_N = 9
 # faster count for: the 9! of the 9x9 board.  Checked before any work.
 MAX_FILTERED_PLACEMENTS = 362_880
 
-# Most states a ``count_avoiders`` walk keeps, summed over the border vertices:
-# shapes for a monotone pattern, border states for 231 and 312; about half a
+# Most states ``_walk`` keeps, summed over the border vertices: shapes for a
+# monotone count, border states for a 231/312 count or listing; about half a
 # second single-threaded.  Every board under the filter limit stays under it
 # for monotone patterns: a column with h_i - (n - i) = f rows left needs
-# columns before it with f - 1, ..., 1 left, so f <= 9, no marker count exceeds
-# 9, and each of at most 2001 border vertices keeps at most p(9) = 30 shapes.
-# For 231 and 312 the largest square it finishes is 15x15 (about 64,500
-# states); 8x8 keeps fewer than 500.
+# columns before it with f - 1, ..., 1 left, so f <= 9, no marker count
+# exceeds 9, and each of at most 2001 border vertices keeps at most p(9) = 30
+# shapes.  For 231 and 312 the largest square it finishes is 15x15 (about
+# 64,500 states); 8x8 keeps fewer than 500.
 MAX_WALK_SHAPES = 100_000
-
-# Most values the 231/312 border-sequence listing behind ``valid_sequences``
-# assigns, a few seconds single-threaded.  The largest square it finishes is
-# 12x12 (1,419,949 values for 312); within 9x9 it assigns at most 32,521, on
-# the 9x9 square for 312.
-MAX_SEQUENCE_NODES = 2_000_000
 
 
 def full_placements(board: Board) -> Iterator[FullPlacement]:
@@ -105,18 +99,19 @@ def count_avoiders(board: Board, pattern: Pattern) -> int:
     them (``_sequence_walks``) without listing them and runs no checker.
     For the monotone patterns 12...k and k...21 it counts walks of partitions
     along the border (``_shape_walks``), in time growing with the number of
-    shapes with at most k - 1 rows that fit under the marker-count profile.
-    Every other pattern filters all full placements, up to n! of them.
+    shapes with at most k - 1 rows that fit under the marker-count profile;
+    both walks run ``_walk``.  Every other pattern filters all full
+    placements, up to n! of them.
 
     Each path has a size limit and raises ParseError naming it: the filter
     refuses a board with more than MAX_FILTERED_PLACEMENTS full placements
-    before any work, and both walks stop once the states they keep pass
+    before any work, and the walk stops once the states it keeps pass
     MAX_WALK_SHAPES.
     """
     if not board.admits_full_placement():
         return 0
     if pattern in (PATTERN_231, PATTERN_312):
-        return _sequence_walks(board, pattern)
+        return _sequence_walks(board, pattern).get(_END, 0)
     increasing = tuple(range(1, len(pattern.word) + 1))
     if pattern.word in (increasing, increasing[::-1]):
         return _shape_walks(board, pattern)
@@ -124,6 +119,32 @@ def count_avoiders(board: Board, pattern: Pattern) -> int:
         raise ParseError(f"board too large: counting {pattern}-avoiders filters at most "
                          f"{MAX_FILTERED_PLACEMENTS:,} full placements")
     return sum(1 for p in full_placements(board) if avoids(board, p, pattern))
+
+
+def _walk(pattern: Pattern, unit: str, start, rules: Iterable, step,
+          trail: list[dict] | None = None) -> dict:
+    """The one walk along the border.  A layer maps each state kept at a
+    border index to a value, {start: 1} at the first; ``step(layer, rule,
+    zero)`` gives the next layer, adding each state's value, from ``zero``
+    up, into each state it moves to.  So the values count walks; or, with
+    ``trail`` a list, each state carries the tuple of itself, and each layer,
+    appended to ``trail``, maps a state to the states it came from.  Returns
+    the last layer.  Raises ParseError, naming the states ``unit``, once the
+    states kept before each step sum to more than MAX_WALK_SHAPES.
+    """
+    layer = {start: 1}
+    walked = 0
+    for rule in rules:
+        walked += len(layer)
+        if walked > MAX_WALK_SHAPES:
+            raise ParseError(f"board too large: counting {pattern}-avoiders walks at most "
+                             f"{MAX_WALK_SHAPES:,} {unit}")
+        if trail is None:
+            layer = step(layer, rule, 0)
+        else:
+            layer = step({state: (state,) for state in layer}, rule, ())
+            trail.append(layer)
+    return layer
 
 
 def _shape_walks(board: Board, pattern: Pattern) -> int:
@@ -136,21 +157,15 @@ def _shape_walks(board: Board, pattern: Pattern) -> int:
     the longest decreasing and as many columns as the longest increasing
     marker chain in R(V).  So the walks with at most k - 1 rows count the
     k...21-avoiders and, transposing every shape, the 12...k-avoiders.  A
-    shape is kept as its row lengths, zeros included.  Raises ParseError once
-    the shapes kept before each step sum to more than MAX_WALK_SHAPES.
+    shape is kept as its row lengths, zeros included.
     """
     rows = min(len(pattern.word) - 1, board.n_cols)  # no shape has more rows than boxes
-    walks = {(0,) * rows: 1}
-    walked = 0
-    for step in board.border_path.steps:
-        walked += len(walks)
-        if walked > MAX_WALK_SHAPES:
-            raise ParseError(f"board too large: counting {pattern}-avoiders walks at most "
-                             f"{MAX_WALK_SHAPES:,} shapes")
-        after: dict[tuple[int, ...], int] = {}
-        for shape, count in walks.items():
+
+    def step(layer: dict, direction: str, zero) -> dict:
+        after: dict = {}
+        for shape, value in layer.items():
             for r in range(rows):
-                if step == RIGHT:
+                if direction == RIGHT:
                     # a box ends row 0 or a row shorter than the row above
                     if r and shape[r] == shape[r - 1]:
                         continue
@@ -160,9 +175,11 @@ def _shape_walks(board: Board, pattern: Pattern) -> int:
                     if shape[r] == (shape[r + 1] if r + 1 < rows else 0):
                         continue
                     moved = shape[:r] + (shape[r] - 1,) + shape[r + 1:]
-                after[moved] = after.get(moved, 0) + count
-        walks = after
-    return walks.get((0,) * rows, 0)
+                after[moved] = after.get(moved, zero) + value
+        return after
+
+    empty = (0,) * rows
+    return _walk(pattern, "shapes", empty, board.border_path.steps, step).get(empty, 0)
 
 
 def rook_placements(board: Board) -> Iterator[Placement]:
@@ -265,96 +282,77 @@ def _allowed(rise: bool, cap: int, prev: int, left: int | None, diagonal_le: boo
     return range(low, high + 1)
 
 
-def _sequence_walks(board: Board, pattern: Pattern) -> int:
-    """Border sequences meeting the 231- or 312-conditions within the
-    marker-count profile, counted by a transfer walk along the border.
+_END = (0, ())  # the state at the last index: value 0, no value owed a comparison
+
+
+def _sequence_walks(board: Board, pattern: Pattern,
+                    trail: list[dict] | None = None) -> dict:
+    """The last layer of the walk (``_walk``, which fills ``trail``) over the
+    border sequences within the profile meeting the 231- or 312-conditions.
 
     Kept diagonal pairs nest like brackets (``_border_rules``), so the values
     still owed a diagonal comparison form a stack, and a state is the value
-    at the current index with that stack.  Each step keeps one count per
-    state: it takes the values ``_allowed`` gives, pops the left end's value
-    at an index that closes a pair and pushes the new value at one that opens
-    a pair.  The count is that of the state (0, ()) at the last index.
-    Raises ParseError once the states kept before each step sum to more than
-    MAX_WALK_SHAPES.
+    at the current index with that stack.  Each step takes the values
+    ``_allowed`` gives, pops the left end's value at an index that closes a
+    pair and pushes the new value at one that opens a pair.  The sequences
+    are the walks ending in ``_END``.
     """
     diagonal_le = _side(pattern).diagonal_le
-    rules = _border_rules(board)
-    walks: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) if rules[0][3] else ()): 1}
-    walked = 0
-    for rise, cap, left_end, opens in rules[1:]:
-        walked += len(walks)
-        if walked > MAX_WALK_SHAPES:
-            raise ParseError(f"board too large: counting {pattern}-avoiders walks at most "
-                             f"{MAX_WALK_SHAPES:,} border states")
-        after: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (prev, stack), count in walks.items():
+
+    def step(layer: dict, rule: tuple[bool, int, int | None, bool], zero) -> dict:
+        rise, cap, left_end, opens = rule
+        after: dict = {}
+        for (prev, stack), value in layer.items():
             left = None
             if left_end is not None:
                 left, stack = stack[-1], stack[:-1]
             for v in _allowed(rise, cap, prev, left, diagonal_le):
                 state = (v, stack + (v,)) if opens else (v, stack)
-                after[state] = after.get(state, 0) + count
-        walks = after
-    return walks.get((0, ()), 0)
+                after[state] = after.get(state, zero) + value
+        return after
 
-
-def _border_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]:
-    """Border sequences within the marker-count profile that meet the 231- or
-    312-conditions, lexicographically.
-
-    A depth-first search along the border that assigns index i only the
-    values ``_allowed`` gives after indices 0..i-1, reading the rules of
-    ``_border_rules``.  A sequence is kept when its last value is 0.  Runs no
-    checker.  Raises ParseError once it has assigned more than
-    MAX_SEQUENCE_NODES values.
-    """
-    diagonal_le = _side(pattern).diagonal_le
-    if min(board.marker_count_profile) < 0:  # no value fits below a negative cap
-        return
     rules = _border_rules(board)
-    last = len(rules) - 1
-    values = [0] * len(rules)
-
-    def allowed(i: int) -> range:
-        rise, cap, left_end, _ = rules[i]
-        left = None if left_end is None else values[left_end]
-        return _allowed(rise, cap, values[i - 1], left, diagonal_le)
-
-    # pending[i - 1] holds the values still to try at index i.
-    pending = [iter(allowed(1))]
-    budget = MAX_SEQUENCE_NODES
-    while pending:
-        i = len(pending)
-        v = next(pending[-1], None)
-        if v is None:
-            pending.pop()
-            continue
-        values[i] = v
-        budget -= 1
-        if budget < 0:
-            raise ParseError(f"board too large: counting {pattern}-avoiders searches at most "
-                             f"{MAX_SEQUENCE_NODES:,} sequence prefixes")
-        if i < last:
-            pending.append(iter(allowed(i + 1)))
-        elif v == 0:
-            yield tuple(values)
+    start = (0, (0,) if rules[0][3] else ())
+    return _walk(pattern, "border states", start, rules[1:], step, trail)
 
 
 def valid_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]:
     """Border sequences within the marker-count profile passing the 231- or
     312-conditions, lexicographically.
 
-    A pruned search reading the rule table that ``count_avoiders`` walks
-    generates them, checking each condition as soon as its last index is
-    assigned; each is then run through the full checker, whose diagonal
-    conditions cover every in-board pair, as a cross-check, which rejects
-    none.  On a square-bounded board these are exactly the border sequences
-    of the pattern's avoiders (theorem t2).  Raises ParseError once the
-    search has assigned more than MAX_SEQUENCE_NODES values.
+    They come from the walk ``count_avoiders`` counts with: walked forward,
+    each state keeps the states it came from; walked back from ``_END``, the
+    states on a complete sequence keep the states after them in value order,
+    so the descent from index 0 enters no dead end.  Each sequence is run
+    through the full checker, whose diagonal conditions cover every in-board
+    pair, as a cross-check, which rejects none.  On a square-bounded board
+    these are exactly the border sequences of the pattern's avoiders
+    (theorem t2).  Raises ParseError, before it yields anything, once the
+    walk keeps more than MAX_WALK_SHAPES states.
     """
     checker = _side(pattern).check
-    for seq in _border_sequences(board, pattern):
+    trail: list[dict] = []
+    _sequence_walks(board, pattern, trail)
+    # ahead[i] maps each state at index i on a complete sequence to the
+    # states after it on one, in value order.
+    ahead: list[dict] = []
+    live = [_END] if _END in trail[-1] else []
+    for sources in reversed(trail):
+        back: dict = {}
+        for state in live:
+            for source in sources[state]:
+                back.setdefault(source, []).append(state)
+        ahead.insert(0, back)
+        live = sorted(back)
+    values = [0] * (len(trail) + 1)
+    todo = [(0, state) for state in live]
+    while todo:
+        i, state = todo.pop()
+        values[i] = state[0]
+        if i < len(ahead):
+            todo.extend((i + 1, following) for following in reversed(ahead[i][state]))
+            continue
+        seq = tuple(values)
         if checker(board, seq).verdict:
             yield seq
 
@@ -546,9 +544,12 @@ def _require_within_sweep_box(board: Board) -> None:
 def check_board(board: Board, theorem: str) -> list[Failure]:
     """Run one verification check on one board; failures are data, not errors.
 
-    Raises ParseError for a board beyond the MAX_SWEEP_N-square sweep box.
+    Raises ValueError for a theorem tag not in THEOREM_TAGS, and ParseError
+    for a board beyond the MAX_SWEEP_N-square sweep box.
     """
     _require_within_sweep_box(board)
+    if theorem not in _CHECKS:
+        raise ValueError(f"unknown theorem tag {theorem!r}")
     return _CHECKS[theorem](board)
 
 
@@ -583,12 +584,9 @@ def verify(boards: Board | Iterable[Board], theorem: str = "all",
     boards = list(boards)
     for board in boards:
         _require_within_sweep_box(board)
-    if theorem == "all":
-        tags = THEOREM_TAGS
-    elif theorem in THEOREM_TAGS:
-        tags = (theorem,)
-    else:
+    if theorem != "all" and theorem not in _CHECKS:
         raise ValueError(f"unknown theorem tag {theorem!r}")
+    tags = THEOREM_TAGS if theorem == "all" else (theorem,)
     start = perf_counter()
     failures: list[Failure] = []
     workers = min(parallel, len(boards), os.cpu_count() or 1)

@@ -1,15 +1,16 @@
 """Slow, direct implementations that the tests hold the library against.
 
 Each one computes its answer the most literal way: per-square grids, every
-marker combination, every vertex pair, every full placement.  None is used by
-the library.
+marker combination, every vertex pair, every full placement, every sequence
+prefix.  None is used by the library.
 """
 
 from itertools import combinations
 from typing import Iterable
 
+from rookbij.bijection import _side
 from rookbij.board import Board, Vertex
-from rookbij.enumeration import full_placements
+from rookbij.enumeration import _allowed, _border_rules, full_placements
 from rookbij.placement import Pattern, avoids
 
 
@@ -116,3 +117,35 @@ def conjugate_by_rows(board: Board) -> Board:
     """The conjugate board, each row's length counted over every column."""
     return Board(tuple(sum(1 for h in board.heights if h >= y)
                        for y in range(1, board.n_rows + 1)))
+
+
+def border_sequences_by_search(board: Board, pattern: Pattern):
+    """Border sequences within the marker-count profile that meet the 231- or
+    312-conditions, lexicographically, by a depth-first search along the
+    border that tries at index i every value ``_allowed`` gives after indices
+    0..i-1, dead ends included; a sequence is kept when its last value is 0."""
+    diagonal_le = _side(pattern).diagonal_le
+    if min(board.marker_count_profile) < 0:  # no value fits below a negative cap
+        return
+    rules = _border_rules(board)
+    last = len(rules) - 1
+    values = [0] * len(rules)
+
+    def allowed(i: int) -> range:
+        rise, cap, left_end, _ = rules[i]
+        left = None if left_end is None else values[left_end]
+        return _allowed(rise, cap, values[i - 1], left, diagonal_le)
+
+    # pending[i - 1] holds the values still to try at index i.
+    pending = [iter(allowed(1))]
+    while pending:
+        i = len(pending)
+        v = next(pending[-1], None)
+        if v is None:
+            pending.pop()
+            continue
+        values[i] = v
+        if i < last:
+            pending.append(iter(allowed(i + 1)))
+        elif v == 0:
+            yield tuple(values)

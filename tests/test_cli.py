@@ -1,10 +1,12 @@
 import io
 import json
+import os
 import re
 import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,15 @@ from rookbij.enumeration import (
 )
 from rookbij.placement import PATTERN_231, avoids, format_placement
 from strategies import boards
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child_env():
+    """The environment of a child CLI process, with ``src`` on its import path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv):
@@ -285,7 +296,7 @@ def _limited_cli(*argv):
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
     return subprocess.run([sys.executable, "-m", "rookbij.cli", *argv], capture_output=True,
-                          text=True, timeout=20, preexec_fn=cap_memory)
+                          text=True, timeout=20, preexec_fn=cap_memory, env=_child_env())
 
 
 @pytest.mark.parametrize("max_n", ["10", "30", "9" * 50])
@@ -358,7 +369,7 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
     ]
     for argv in calls:
         fresh = subprocess.run([sys.executable, "-m", "rookbij.cli", *argv],
-                               capture_output=True, text=True, timeout=60)
+                               capture_output=True, text=True, timeout=60, env=_child_env())
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 

@@ -64,17 +64,17 @@ def test_count_avoiders(heights, pattern, count):
 
 
 def test_count_budgets_stop_the_sequence_search_and_the_shape_walk(monkeypatch):
-    # 1430 avoiders each on 8x8; the budgets are read at call time.  The count
-    # walks fewer than 1000 border states there; the listing assigns more values.
+    # 1430 avoiders each on 8x8; the budget is read at call time.  The count
+    # and the listing walk the same fewer than 1000 border states there.
     monkeypatch.setattr(enumeration, "MAX_WALK_SHAPES", 1000)
     assert count_avoiders(Board((8,) * 8), PATTERN_312) == 1430
+    assert sum(1 for _ in valid_sequences(Board((8,) * 8), PATTERN_231)) == 1430
     monkeypatch.setattr(enumeration, "MAX_WALK_SHAPES", 400)
     with pytest.raises(ParseError, match="walks at most 400 border states"):
         count_avoiders(Board((8,) * 8), PATTERN_312)
-    monkeypatch.setattr(enumeration, "MAX_WALK_SHAPES", 100_000)
-    monkeypatch.setattr(enumeration, "MAX_SEQUENCE_NODES", 1000)
-    with pytest.raises(ParseError, match="searches at most 1,000 sequence prefixes"):
+    with pytest.raises(ParseError, match="walks at most 400 border states"):
         list(valid_sequences(Board((8,) * 8), PATTERN_231))
+    monkeypatch.setattr(enumeration, "MAX_WALK_SHAPES", 100_000)
     assert count_avoiders(Board((6,) * 6), Pattern.parse("321")) == 132
     monkeypatch.setattr(enumeration, "MAX_WALK_SHAPES", 10)
     with pytest.raises(ParseError, match="walks at most 10 shapes"):
@@ -231,8 +231,15 @@ def test_verify_and_check_board_refuse_boards_beyond_the_sweep_box(monkeypatch):
 
 
 def test_verify_rejects_unknown_tag():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown theorem tag 't3'"):
         verify(Board((1,)), "t3")
+
+
+@pytest.mark.parametrize("tag", ["t3", "all"])
+def test_check_board_rejects_unknown_tag(tag):
+    # "all" is a verify tag only; check_board runs one check
+    with pytest.raises(ValueError, match=f"unknown theorem tag '{tag}'"):
+        check_board(Board((1,)), tag)
 
 
 def test_default_sweep_bounds():

@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rookbij import enumeration
 from rookbij.bijection import alpha, alpha_general, beta, beta_general
 from rookbij.board import Board
 from rookbij.enumeration import (
+    _END,
     _border_rules,
-    _border_sequences,
     _sequence_walks,
     boards_within,
     count_avoiders,
     full_placement_count,
     full_placements,
     rook_placements,
+    valid_sequences,
 )
 from rookbij.errors import RookbijError
 from rookbij.placement import (
@@ -30,6 +32,7 @@ from rookbij.placement import (
     s_sequence,
 )
 from oracles import (
+    border_sequences_by_search,
     border_values,
     count_avoiders_by_filter,
     diagonal_pairs_by_scan,
@@ -116,19 +119,44 @@ def test_kept_diagonal_pairs_nest_and_imply_every_pair_within_8():
 
 
 def test_sequence_walk_matches_listing_within_8():
-    # every board whose profile is nonnegative; the others give 0 on both
+    # every board whose profile is nonnegative; the others give nothing on both
     boards = [b for b in boards_within(8) if min(b.marker_count_profile) >= 0]
     assert len(boards) == 4861
     for board in boards:
         for pattern in (PATTERN_231, PATTERN_312):
-            assert _sequence_walks(board, pattern) == \
-                sum(1 for _ in _border_sequences(board, pattern)), (board, pattern)
+            listed = list(border_sequences_by_search(board, pattern))
+            assert list(valid_sequences(board, pattern)) == listed, (board, pattern)
+            assert _sequence_walks(board, pattern).get(_END, 0) == len(listed), (board, pattern)
+
+
+@pytest.mark.parametrize("heights", [(1,) * 25, (5,) * 5 + (1,) * 20], ids=str)
+def test_sequence_walk_lists_wide_boards_within_a_small_walk(monkeypatch, heights):
+    # A depth-first listing tries millions of dead-end prefixes here (the
+    # oracle takes 35-100 s on the full width); the walk keeps a few hundred
+    # states, so it answers under a small limit.
+    monkeypatch.setattr(enumeration, "MAX_WALK_SHAPES", 1000)
+    board, narrow = Board(heights), Board(heights[:16])
+    # no 231 sequence ends at 0
+    assert list(valid_sequences(board, PATTERN_231)) == []
+    assert list(border_sequences_by_search(narrow, PATTERN_231)) == []
+    # 9 more one-row columns lengthen the last run of 1s of each 312 sequence
+    listed = list(border_sequences_by_search(narrow, PATTERN_312))
+    assert listed
+    assert list(valid_sequences(board, PATTERN_312)) == \
+        [seq[:-1] + (1,) * 9 + (0,) for seq in listed]
 
 
 @pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
 def test_sequence_walk_counts_catalan_on_squares_to_15(pattern):
     for n in range(1, 16):
-        assert _sequence_walks(Board((n,) * n), pattern) == comb(2 * n, n) // (n + 1), n
+        assert count_avoiders(Board((n,) * n), pattern) == comb(2 * n, n) // (n + 1), n
+
+
+@pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
+def test_sequence_walk_lists_catalan_on_squares_to_10(pattern):
+    for n in range(1, 11):
+        assert sum(1 for _ in valid_sequences(Board((n,) * n), pattern)) == \
+            comb(2 * n, n) // (n + 1), n
 
 
 @pytest.mark.parametrize("word", ["1", "12", "21", "123", "321", "1234", "4321", "12345",
