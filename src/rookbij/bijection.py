@@ -10,6 +10,7 @@ extend them to arbitrary (partial) rook placements.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -40,12 +41,12 @@ def plus_transform(board: Board, seq) -> tuple[int, ...]:
 
     An involution on the sequences realized by full placements.
     """
-    seq = _sized_sequence(board, seq)
-    profile = board.marker_count_profile
-    for i, (s, n) in enumerate(zip(seq, profile)):
+    out = []
+    for i, (s, n) in enumerate(zip(_sized_sequence(board, seq), board.marker_count_profile)):
         if not 0 <= s <= n:
             raise OutOfRange(f"value {s} at border index {i} outside [0, {n}]")
-    return tuple(0 if s == 0 else n + 1 - s for s, n in zip(seq, profile))
+        out.append(n + 1 - s if s else 0)
+    return tuple(out)
 
 
 class _Side(NamedTuple):
@@ -165,14 +166,27 @@ def reconstruct_312(board: Board, seq, *, check: bool = True,
 def _map_full(board: Board, placement: FullPlacement, avoided: Pattern,
               reconstruct_image: Callable, check: bool) -> FullPlacement:
     # The map is a pure function of the board and the placement, so the board
-    # keeps each image; the avoider check still runs on every call.
+    # keeps each image, and the border sequence of each placement it reads or
+    # produces; the avoider check still runs on every call.
     if check:
         _require_avoider(board, placement, avoided)
     key = (avoided, placement)
     image = board._images.get(key)
     if image is None:
-        image_seq = plus_transform(board, s_sequence(board, placement))
-        image = board._images[key] = reconstruct_image(board, image_seq, check=False)
+        sequences = board._sequences
+        seq = sequences.get(placement)
+        if seq is None:
+            seq = sequences[placement] = s_sequence(board, placement)
+        image_seq = plus_transform(board, seq)
+        image = reconstruct_image(board, image_seq, check=False, verify=False)
+        # the reconstruction's self-check, reading a kept sequence if there is one
+        image_held = sequences.get(image)
+        if image_held is None:
+            image_held = s_sequence(board, image)
+        if image_held != image_seq:
+            raise ReconstructionFailure("reconstructed placement does not reproduce the sequence")
+        sequences[image] = image_seq
+        board._images[key] = image
     return image
 
 
@@ -212,12 +226,13 @@ def compact(board: Board, placement) -> tuple[CompactionContext, FullPlacement]:
     markers = sorted(placement.markers)
     if not markers:
         return CompactionContext((), (), None), FullPlacement(())
-    cols = tuple(sorted(c for c, _ in markers))
+    cols = tuple(c for c, _ in markers)  # one marker per column, so already sorted
     rows = tuple(sorted(r for _, r in markers))
     if len(cols) == board.n_cols and len(rows) == board.n_rows:
         compact_board = board  # nothing to delete
     else:
-        heights = tuple(sum(1 for r in rows if r <= board.heights[c - 1]) for c in cols)
+        # a column keeps the occupied rows up to its height
+        heights = tuple(bisect_right(rows, board.heights[c - 1]) for c in cols)
         compact_board = board._compact_boards.get(heights)
         if compact_board is None:
             compact_board = board._compact_boards[heights] = Board(heights)

@@ -122,15 +122,20 @@ class Board:
         return conj
 
     # Results of pure functions of this board, filled in by ``bijection``:
-    # its compacted boards by heights, and its map images by (avoided
-    # pattern, placement).  They live and die with the board, so no value is
-    # shared between boards, and a race between threads only recomputes one.
+    # its compacted boards by heights, its map images by (avoided pattern,
+    # placement), and the border sequences of the placements the maps read
+    # and produce.  They live and die with the board, so no value is shared
+    # between boards, and a race between threads only recomputes one.
     @cached_property
     def _compact_boards(self) -> dict[tuple[int, ...], Board]:
         return {}
 
     @cached_property
     def _images(self) -> dict[tuple, object]:
+        return {}
+
+    @cached_property
+    def _sequences(self) -> dict[object, tuple[int, ...]]:
         return {}
 
     @cached_property

@@ -8,6 +8,7 @@ sweep reports are reproducible regardless of parallelism.
 from __future__ import annotations
 
 import os
+from bisect import insort
 from dataclasses import dataclass
 from math import prod
 from time import perf_counter
@@ -54,27 +55,59 @@ MAX_WALK_SHAPES = 100_000
 
 
 def full_placements(board: Board) -> Iterator[FullPlacement]:
-    """Every full rook placement on the board, lexicographic by permutation."""
+    """Every full rook placement on the board, lexicographic by permutation.
+
+    Fills the columns from the tallest and takes a row only when the rest can
+    still be completed (``_completable_rows``), so it never backtracks out of
+    a dead end.  Iterative, so no column count reaches the recursion limit.
+    """
     if not board.admits_full_placement():
         return
     n = board.n_cols
     heights = board.heights
     perm: list[int] = []
-    used = [False] * (n + 1)
-
-    def extend(col: int) -> Iterator[FullPlacement]:
-        if col == n:
+    free = list(range(1, n + 1))  # the rows no column has taken, ascending
+    pending = [iter(_completable_rows(heights, free))]  # rows to try, per column
+    while pending:
+        col = len(pending) - 1
+        if len(perm) > col:  # back at this column: free the row it had
+            insort(free, perm.pop())
+        row = next(pending[-1], None)
+        if row is None:
+            pending.pop()
+            continue
+        free.remove(row)
+        perm.append(row)
+        if col + 1 == n:
             yield FullPlacement(tuple(perm))
-            return
-        for row in range(1, heights[col] + 1):
-            if not used[row]:
-                used[row] = True
-                perm.append(row)
-                yield from extend(col + 1)
-                perm.pop()
-                used[row] = False
+        else:
+            pending.append(iter(_completable_rows(heights, free)))
 
-    yield from extend(0)
+
+def _completable_rows(heights: tuple[int, ...], free: list[int]) -> list[int]:
+    """The rows in ``free`` that column n - m + 1 can take so that the m - 1
+    shorter columns after it still have a full placement in the other free
+    rows, m = len(free), in ascending order.
+
+    On a Ferrers board the shorter columns can be filled exactly when, for
+    each i, the i-th smallest free row left is at most the i-th shortest
+    column (Hall's condition).  Taking the t-th smallest free row leaves the
+    i-th smallest in place i for i < t and moves the (i + 1)-th into place i
+    for i >= t.  So t runs from just after the last i whose (i + 1)-th
+    smallest free row is above the i-th shortest column, up to the first i
+    whose i-th smallest is.
+    """
+    m = len(free)
+    n = len(heights)
+    col_height = heights[n - m]
+    lo, hi = 0, m - 1
+    for j in range(m - 1):
+        cap = heights[n - 1 - j]  # the (j + 1)-th shortest of the shorter columns
+        if free[j] > cap and j < hi:
+            hi = j
+        if free[j + 1] > cap:
+            lo = j + 1
+    return [row for row in free[lo:hi + 1] if row <= col_height]
 
 
 def full_placement_count(board: Board) -> int:
@@ -231,9 +264,12 @@ def boards_within(n: int, square_bounded_only: bool = False,
 
 def _border_rules(board: Board) -> list[tuple[bool, int, int | None, bool]]:
     """The 231/312 conditions at each border index i, as the tuple (rise,
-    cap, left end, opens): whether the step into i is rightward, the profile
-    value capping i, the left end k of the kept diagonal pair (k, i) (None if
-    no kept pair ends at i), and whether a kept pair starts at i.
+    cap, left end, opens): whether the step into i is rightward, the cap on
+    the value at i, the left end k of the kept diagonal pair (k, i) (None if
+    no kept pair ends at i), and whether a kept pair starts at i.  The cap is
+    the profile value, or the y of i's vertex if less: y is the number of
+    downward steps left, so a larger value never gets back to 0.  (On a board
+    with a full placement the profile never exceeds y.)
 
     Of the in-board diagonal pairs only (k, j), j the first border vertex down
     k's diagonal, are kept; the others on that diagonal chain through kept
@@ -259,7 +295,8 @@ def _border_rules(board: Board) -> list[tuple[bool, int, int | None, bool]]:
                 opens[k] = True
         last_on[x + y] = i
     rises = [False] + [step == RIGHT for step in path.steps]
-    return list(zip(rises, profile, left_ends, opens))
+    caps = [p if p < y else y for p, (_, y) in zip(profile, path.vertices)]
+    return list(zip(rises, caps, left_ends, opens))
 
 
 def _allowed(rise: bool, cap: int, prev: int, left: int | None, diagonal_le: bool) -> range:
@@ -377,12 +414,22 @@ class SweepReport:
 
 def _check_l1(board: Board) -> list[Failure]:
     # Marker counts in R(V) must match the placement-independent profile.
+    # The count follows the border: a rightward step takes in the new
+    # column's marker if it is at or below y, a downward step drops the
+    # marker of the row left behind if it is at or left of x.
     failures = []
     profile = board.marker_count_profile
-    verts = board.border_path.vertices
+    path = board.border_path
     for p in full_placements(board):
-        for idx, v in enumerate(verts):
-            count = sum(1 for c, r in p.markers if c <= v.x and r <= v.y)
+        perm = p.perm
+        col_of = {row: col for col, row in enumerate(perm, start=1)}
+        count = 0
+        for idx, v in enumerate(path.vertices):
+            if idx:
+                if path.steps[idx - 1] == RIGHT:
+                    count += perm[v.x - 1] <= v.y
+                else:
+                    count -= col_of[v.y + 1] <= v.x
             if count != profile[idx]:
                 failures.append(Failure(
                     board, "l1",
@@ -391,9 +438,10 @@ def _check_l1(board: Board) -> list[Failure]:
     return failures
 
 
-def _avoiders(board: Board) -> dict[Pattern, list[FullPlacement]]:
+def _avoiders(board: Board, placements: Iterable[FullPlacement]
+              ) -> dict[Pattern, list[FullPlacement]]:
     out: dict[Pattern, list[FullPlacement]] = {PATTERN_231: [], PATTERN_312: []}
-    for p in full_placements(board):
+    for p in placements:
         for pattern in (PATTERN_231, PATTERN_312):
             if avoids(board, p, pattern):
                 out[pattern].append(p)
@@ -404,7 +452,7 @@ def _check_t1(board: Board) -> list[Failure]:
     # The border sequence determines the avoiding placement, and the
     # reconstruction inverts the sequence map.
     failures = []
-    for pattern, avoiders in _avoiders(board).items():
+    for pattern, avoiders in _avoiders(board, full_placements(board)).items():
         seen: dict[tuple[int, ...], FullPlacement] = {}
         for p in avoiders:
             seq = s_sequence(board, p)
@@ -436,7 +484,7 @@ def _check_t2(board: Board) -> list[Failure]:
     if not board.square_bounded():
         return []
     failures = []
-    avoiders = _avoiders(board)
+    avoiders = _avoiders(board, full_placements(board))
     for pattern in (PATTERN_231, PATTERN_312):
         realized = {s_sequence(board, p) for p in avoiders[pattern]}
         accepted = set(valid_sequences(board, pattern))
@@ -485,11 +533,12 @@ def _check_bijection(board: Board, tag: str, sources, targets, forward,
 def _check_t4(board: Board) -> list[Failure]:
     # alpha and beta are mutually inverse bijections between the avoider sets,
     # and plus_transform is an involution on realized sequences.
-    avoiders = _avoiders(board)
+    placements = list(full_placements(board))
+    avoiders = _avoiders(board, placements)
     failures = (
         _check_bijection(board, "t4", avoiders[PATTERN_231], avoiders[PATTERN_312], alpha, beta)
         + _check_bijection(board, "t4", avoiders[PATTERN_312], avoiders[PATTERN_231], beta, alpha))
-    for p in full_placements(board):
+    for p in placements:
         seq = s_sequence(board, p)
         if plus_transform(board, plus_transform(board, seq)) != seq:
             failures.append(Failure(
@@ -535,7 +584,8 @@ _CHECKS = {
 
 
 def _require_within_sweep_box(board: Board) -> None:
-    # The checks enumerate up to n! placements, recursing once per column.
+    # The checks enumerate up to n! full placements, and remark every rook
+    # placement, recursing once per column.
     if max(board.n_cols, board.n_rows) > MAX_SWEEP_N:
         raise ParseError(f"--board must fit within {MAX_SWEEP_N}x{MAX_SWEEP_N}, "
                          "the box of the largest --max-n")

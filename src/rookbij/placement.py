@@ -59,14 +59,14 @@ class Placement:
         object.__setattr__(self, "markers", frozenset(self.markers))
 
     def validate_on(self, board: Board) -> None:
-        cols = [c for c, _ in self.markers]
-        rows = [r for _, r in self.markers]
-        if len(set(cols)) != len(cols):
+        markers = self.markers
+        if len({c for c, _ in markers}) != len(markers):
             raise InvalidPlacement("two markers share a column")
-        if len(set(rows)) != len(rows):
+        if len({r for _, r in markers}) != len(markers):
             raise InvalidPlacement("two markers share a row")
-        for c, r in self.markers:
-            if not board.contains_square(c, r):
+        n_cols, heights = board.n_cols, board.heights
+        for c, r in markers:
+            if not (1 <= c <= n_cols and 1 <= r <= heights[c - 1]):
                 raise InvalidPlacement(f"marker ({c},{r}) is outside the board")
 
 

@@ -2,16 +2,16 @@
 
 Each one computes its answer the most literal way: per-square grids, every
 marker combination, every vertex pair, every full placement, every sequence
-prefix.  None is used by the library.
+prefix, every dead end.  None is used by the library.
 """
 
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from rookbij.bijection import _side
 from rookbij.board import Board, Vertex
-from rookbij.enumeration import _allowed, _border_rules, full_placements
-from rookbij.placement import Pattern, avoids
+from rookbij.enumeration import _allowed, _border_rules
+from rookbij.placement import FullPlacement, Pattern, avoids
 
 
 def s_grid(board: Board, placement) -> dict[Vertex, int]:
@@ -91,10 +91,44 @@ def avoids_by_border_definition(board: Board, placement, pattern: Pattern) -> bo
     return True
 
 
+def full_placements_by_backtracking(board: Board) -> Iterator[FullPlacement]:
+    """Every full rook placement, lexicographic by permutation: each column,
+    tallest first, tries every free row up to its height, and the search
+    backs out of prefixes that the shorter columns cannot complete."""
+    if not board.admits_full_placement():
+        return
+    n = board.n_cols
+    heights = board.heights
+    perm: list[int] = []
+    used = [False] * (n + 1)
+
+    def extend(col: int) -> Iterator[FullPlacement]:
+        if col == n:
+            yield FullPlacement(tuple(perm))
+            return
+        for row in range(1, heights[col] + 1):
+            if not used[row]:
+                used[row] = True
+                perm.append(row)
+                yield from extend(col + 1)
+                perm.pop()
+                used[row] = False
+
+    yield from extend(0)
+
+
 def count_avoiders_by_filter(board: Board, pattern: Pattern) -> int:
     """Full placements avoiding the pattern, counted by testing every one of
     them (up to n! on an n-column board)."""
-    return sum(1 for p in full_placements(board) if avoids(board, p, pattern))
+    return sum(1 for p in full_placements_by_backtracking(board) if avoids(board, p, pattern))
+
+
+def compact_heights_by_count(board: Board, placement) -> tuple[int, ...]:
+    """The column heights of a placement's compact board: for each occupied
+    column, the occupied rows at most its height, counted one by one."""
+    cols = sorted(c for c, _ in placement.markers)
+    rows = [r for _, r in placement.markers]
+    return tuple(sum(1 for r in rows if r <= board.heights[c - 1]) for c in cols)
 
 
 def diagonal_pairs_by_scan(board: Board) -> tuple[tuple[int, int], ...]:
@@ -123,18 +157,20 @@ def border_sequences_by_search(board: Board, pattern: Pattern):
     """Border sequences within the marker-count profile that meet the 231- or
     312-conditions, lexicographically, by a depth-first search along the
     border that tries at index i every value ``_allowed`` gives after indices
-    0..i-1, dead ends included; a sequence is kept when its last value is 0."""
+    0..i-1 under the profile, dead ends included; a sequence is kept when its
+    last value is 0."""
     diagonal_le = _side(pattern).diagonal_le
-    if min(board.marker_count_profile) < 0:  # no value fits below a negative cap
+    profile = board.marker_count_profile
+    if min(profile) < 0:  # no value fits below a negative cap
         return
     rules = _border_rules(board)
     last = len(rules) - 1
     values = [0] * len(rules)
 
     def allowed(i: int) -> range:
-        rise, cap, left_end, _ = rules[i]
+        rise, _, left_end, _ = rules[i]
         left = None if left_end is None else values[left_end]
-        return _allowed(rise, cap, values[i - 1], left, diagonal_le)
+        return _allowed(rise, profile[i], values[i - 1], left, diagonal_le)
 
     # pending[i - 1] holds the values still to try at index i.
     pending = [iter(allowed(1))]

@@ -4,6 +4,7 @@ import threading
 import pytest
 from hypothesis import given
 
+from rookbij import bijection
 from rookbij.bijection import (
     alpha,
     alpha_general,
@@ -16,7 +17,7 @@ from rookbij.bijection import (
     reconstruct_312,
 )
 from rookbij.board import Board
-from rookbij.enumeration import full_placements, rook_placements
+from rookbij.enumeration import boards_within, full_placements, rook_placements
 from rookbij.errors import (
     ConditionViolation,
     LengthMismatch,
@@ -32,6 +33,7 @@ from rookbij.placement import (
     avoids,
     s_sequence,
 )
+from oracles import compact_heights_by_count
 from strategies import boards_with_full_placement, boards_with_rook_placement
 
 B333 = Board((3, 3, 3))
@@ -265,3 +267,34 @@ def test_threads_sharing_one_board_get_fresh_board_images():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(results)
+
+
+@pytest.mark.parametrize("forward,name,avoided", [
+    (alpha, "reconstruct_312", PATTERN_231),
+    (beta, "reconstruct_231", PATTERN_312),
+], ids=["alpha", "beta"])
+def test_maps_check_images_whose_sequence_the_board_holds(monkeypatch, forward, name, avoided):
+    # The maps keep the border sequence of every placement they read or
+    # produce; an image checked against a kept sequence must still fail.
+    board = Board((4, 4, 4, 4))
+    first, second = [p for p in full_placements(board) if avoids(board, p, avoided)
+                     and plus_transform(board, s_sequence(board, p)) != s_sequence(board, p)][:2]
+    held_image = forward(board, first)
+    assert board._sequences[first] == s_sequence(board, first)
+    assert board._sequences[held_image] == s_sequence(board, held_image)
+    for wrong in (first, held_image):  # an input and an image the board holds
+        monkeypatch.setattr(bijection, name, lambda *args, **kwargs: wrong)
+        with pytest.raises(ReconstructionFailure,
+                           match="reconstructed placement does not reproduce the sequence"):
+            forward(board, second)
+    monkeypatch.undo()
+    assert forward(board, second) not in (first, held_image)
+
+
+def test_compact_heights_match_a_count_within_5():
+    for board in boards_within(5):
+        for placement in rook_placements(board):
+            context, _ = compact(board, placement)
+            if context.compact_board is not None:
+                assert context.compact_board.heights == \
+                    compact_heights_by_count(board, placement), (board, placement)

@@ -308,7 +308,7 @@ def test_verify_refuses_oversized_sweeps_up_front(max_n):
 
 
 def test_verify_refuses_boards_beyond_the_sweep_box():
-    # full_placements recurses once per column: 1000 columns passed Python's limit
+    # a 1000x1000 sweep would enumerate 1000! full placements
     for board in (",".join(["1000"] * 1000), ",".join(["9"] * 10), "10"):
         done = _limited_cli("verify", "--board", board, "--theorem", "l1")
         assert (done.returncode, done.stdout) == (2, "")
@@ -319,7 +319,7 @@ def test_verify_refuses_boards_beyond_the_sweep_box():
 
 
 def test_count_refuses_boards_with_too_many_placements(capsys):
-    # filtering 1000x1000 would recurse past Python's limit; 10x10 has 10! placements
+    # 1000x1000 has 1000! full placements and 10x10 has 10!
     for board in (",".join(["1000"] * 1000), ",".join(["10"] * 10)):
         assert run(capsys, "count", "--board", board, "--pattern", "2413") == (
             2, "", "error: board too large: counting 2413-avoiders filters at most "
@@ -343,6 +343,14 @@ def test_count_refuses_boards_with_too_many_placements(capsys):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: board too large: counting 231-avoiders walks at most " \
                           "100,000 border states\n"
+
+
+def test_count_filters_the_one_placement_of_a_wide_staircase():
+    # the board passes the 9! gate with a single full placement, which the
+    # generator reaches without backing out of a dead end
+    staircase = ",".join(str(h) for h in range(1000, 0, -1))
+    done = _limited_cli("count", "--board", staircase, "--pattern", "2413")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
 
 
 def test_count_answers_every_monotone_pattern_on_9x9(capsys):

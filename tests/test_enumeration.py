@@ -212,7 +212,7 @@ def test_verify_caps_worker_count(monkeypatch, cpus, n_boards, expected):
 
 
 def test_verify_and_check_board_refuse_boards_beyond_the_sweep_box(monkeypatch):
-    # full_placements recurses once per column, past Python's limit at 1000 columns
+    # a 1000x1000 sweep would enumerate 1000! full placements
     message = "--board must fit within 9x9, the box of the largest --max-n"
     with pytest.raises(ParseError, match=message):
         verify(Board((1000,) * 1000), "l1")
@@ -359,6 +359,27 @@ def test_t4_reports_planted_reconstruction_faults(monkeypatch, heights, name):
     monkeypatch.setattr(bijection, name, wrong)
     failures = check_board(Board(heights), "t4")
     assert planted and failures and all(f.theorem == "t4" for f in failures)
+
+
+@pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])
+def test_l1_reports_a_planted_profile_fault_at_its_vertex(heights):
+    # The count walks the border step by step; each failure names the vertex
+    # whose profile entry is wrong and the count of a scan over the markers.
+    board = Board(heights)
+    assert check_board(board, "l1") == []
+    index = 4
+    profile = list(board.marker_count_profile)
+    profile[index] += 1
+    board.__dict__["marker_count_profile"] = tuple(profile)  # the cached_property's slot
+    v = board.border_path.vertices[index]
+    failures = check_board(board, "l1")
+    assert len(failures) == full_placement_count(board)
+    for failure, p in zip(failures, full_placements(board)):
+        count = sum(1 for c, r in p.markers if c <= v.x and r <= v.y)
+        assert failure.theorem == "l1"
+        assert failure.witness == (
+            f"placement {p} has {count} markers in R(({v.x},{v.y})), "
+            f"profile says {profile[index]}")
 
 
 @pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])

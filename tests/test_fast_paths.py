@@ -36,6 +36,7 @@ from oracles import (
     border_values,
     count_avoiders_by_filter,
     diagonal_pairs_by_scan,
+    full_placements_by_backtracking,
     pattern_witness_by_scan,
 )
 
@@ -144,6 +145,22 @@ def test_sequence_walk_lists_wide_boards_within_a_small_walk(monkeypatch, height
     assert listed
     assert list(valid_sequences(board, PATTERN_312)) == \
         [seq[:-1] + (1,) * 9 + (0,) for seq in listed]
+
+
+def test_sequence_walk_answers_one_row_boards_of_any_width():
+    # A value above the downward steps left is dropped from the walk: the
+    # board's single downward step caps every value before it at 1.
+    for width in (400, 500, 1000):
+        board = Board((1,) * width)
+        assert list(valid_sequences(board, PATTERN_231)) == [], width
+        assert list(valid_sequences(board, PATTERN_312)) == \
+            [(0,) + (1,) * width + (0,)], width
+
+
+def test_full_placements_match_backtracking_within_7():
+    for board in boards_within(7):
+        assert list(full_placements(board)) == \
+            list(full_placements_by_backtracking(board)), board
 
 
 @pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
