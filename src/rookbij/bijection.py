@@ -5,7 +5,9 @@ so transforming sequences transforms placements: ``plus_transform`` flips a
 231-style sequence into a 312-style one (and back), and the reconstruction
 routines rebuild the unique avoiding placement from its sequence.  ``alpha``
 and ``beta`` chain the two and are mutually inverse; ``compact``/``expand``
-extend them to arbitrary (partial) rook placements.
+extend them to arbitrary (partial) rook placements.  Each public function
+checks its input, then calls a private core keyed by pattern, which the sweeps
+call directly; every reconstruction self-checks its result (``_rebuild``).
 """
 
 from __future__ import annotations
@@ -54,26 +56,24 @@ class _Side(NamedTuple):
 
     ``diagonal_le`` is the direction of the side's diagonal condition: the
     left end of every in-board diagonal is at most (231) or at least (312)
-    its right end.
+    its right end.  ``image`` is the pattern the side's map images avoid.
     """
 
     check: Callable
     reconstruct: Callable
     map_general: Callable
     diagonal_le: bool
+    image: Pattern
 
 
 def _side(pattern: Pattern) -> _Side:
-    """The checker, reconstructor, general map and diagonal direction of a
-    pattern's side.
-
-    Resolved on every call, not kept in a table built at import, so a module
-    attribute replaced at run time (say, by a tracer) is the one called.
-    """
+    """A pattern's side of the bijection, resolved on every call, not kept in
+    a table built at import, so a module attribute replaced at run time (say,
+    by a tracer) is the one called."""
     if pattern == PATTERN_231:
-        return _Side(check_231, reconstruct_231, alpha_general, True)
+        return _Side(check_231, reconstruct_231, alpha_general, True, PATTERN_312)
     if pattern == PATTERN_312:
-        return _Side(check_312, reconstruct_312, beta_general, False)
+        return _Side(check_312, reconstruct_312, beta_general, False, PATTERN_231)
     raise ValueError(f"no condition checker for pattern {pattern}")
 
 
@@ -84,35 +84,51 @@ def _require_avoider(board: Board, placement, pattern: Pattern) -> None:
         raise NotAvoider(f"placement contains {pattern} at markers {markers}")
 
 
-def _checked_sequence(board: Board, seq, check: bool,
-                      checker: Callable) -> tuple[int, ...]:
-    """The sequence as a tuple, after the preconditions of a reconstruction:
-    its length, and with ``check`` a square-bounded board and ``checker``."""
+def _reconstruct(board: Board, seq, pattern: Pattern) -> FullPlacement:
+    """``_rebuild`` after checking the sequence's length, the board and the conditions."""
     seq = _sized_sequence(board, seq)
-    if check:
-        if not board.square_bounded():
-            raise ConditionViolation(
-                "board's longest row and column differ; no full placement exists")
-        report = checker(board, seq)
-        if not report.verdict:
-            raise ConditionViolation("; ".join(report.lines()))
-    return seq
+    if not board.square_bounded():
+        raise ConditionViolation(
+            "board's longest row and column differ; no full placement exists")
+    report = _side(pattern).check(board, seq)
+    if not report.verdict:
+        raise ConditionViolation("; ".join(report.lines()))
+    return _rebuild(board, seq, pattern)
 
 
-def reconstruct_231(board: Board, seq, *, check: bool = True,
-                    verify: bool = True) -> FullPlacement:
-    """Rebuild the unique 231-avoiding full placement with the given border sequence.
+def reconstruct_231(board: Board, seq) -> FullPlacement:
+    """Rebuild the unique 231-avoiding full placement with the given border sequence."""
+    return _reconstruct(board, seq, PATTERN_231)
 
-    Works right to left.  With b_r..b_0 the values down the right-hand column's
-    vertex line and a_r the value just left of the column top, the column's
-    marker sits in the highest row j with b_j > b_{j-1}.  Deleting that column
-    and row leaves a smaller board whose sequence keeps the prefix through a_r
-    and continues with a_r repeated down to row j, then b_{j-1}..b_0.
 
-    ``check`` runs the 231-conditions up front; ``verify`` re-derives the
-    sequence of the result as a self-check.
-    """
-    seq = _checked_sequence(board, seq, check, check_231)
+def reconstruct_312(board: Board, seq) -> FullPlacement:
+    """Rebuild the unique 312-avoiding full placement with the given border sequence."""
+    return _reconstruct(board, seq, PATTERN_312)
+
+
+def _rebuild(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPlacement:
+    """``_raw_rebuild``, self-checked: the result's sequence, the one the
+    board holds or else a computed one, must be ``seq``; the board then holds it."""
+    result = _raw_rebuild(board, seq, pattern)
+    sequences = board._sequences
+    if (sequences.get(result) or s_sequence(board, result)) != seq:
+        raise ReconstructionFailure("reconstructed placement does not reproduce the sequence")
+    sequences[result] = seq
+    return result
+
+
+def _raw_rebuild(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPlacement:
+    """The rebuild of ``_rebuild``, without its self-check.  For 231 it
+    works right to left.  With b_r..b_0 the values down the right-hand
+    column's vertex line and a_r the value just left of the column top, the
+    column's marker sits in the highest row j with b_j > b_{j-1}.  Deleting
+    that column and row leaves a smaller board whose sequence keeps the
+    prefix through a_r and continues with a_r repeated down to row j, then
+    b_{j-1}..b_0.  For 312 it runs the 231 rebuild on the conjugate board
+    with the reversed sequence and reflects the result back."""
+    if pattern == PATTERN_312:
+        conj = board.conjugate()
+        return inverse_placement(conj, _raw_rebuild(conj, tuple(reversed(seq)), PATTERN_231))
     heights = list(board.heights)
     work = list(seq)
     rows_alive = list(range(1, board.n_rows + 1))
@@ -134,7 +150,6 @@ def reconstruct_231(board: Board, seq, *, check: bool = True,
         new_tail = [a_top if y >= j else tail[r - y] for y in range(r - 2, -1, -1)]
         work = work[:-(r + 1)] + new_tail
         heights = new_heights
-
     if work != [0] or rows_alive:
         raise ReconstructionFailure("sequence does not reduce to the empty board")
     try:
@@ -142,63 +157,34 @@ def reconstruct_231(board: Board, seq, *, check: bool = True,
         result.validate_on(board)
     except InvalidPlacement as exc:
         raise ReconstructionFailure(str(exc)) from exc
-    if verify and s_sequence(board, result) != seq:
-        raise ReconstructionFailure("reconstructed placement does not reproduce the sequence")
     return result
 
 
-def reconstruct_312(board: Board, seq, *, check: bool = True,
-                    verify: bool = True) -> FullPlacement:
-    """Rebuild the unique 312-avoiding full placement with the given border sequence.
-
-    Runs the 231 reconstruction on the conjugate board with the reversed
-    sequence and reflects the result back.
-    """
-    seq = _checked_sequence(board, seq, check, check_312)
-    conj = board.conjugate()
-    mirror = reconstruct_231(conj, tuple(reversed(seq)), check=False, verify=False)
-    result = inverse_placement(conj, mirror)
-    if verify and s_sequence(board, result) != seq:
-        raise ReconstructionFailure("reconstructed placement does not reproduce the sequence")
-    return result
-
-
-def _map_full(board: Board, placement: FullPlacement, avoided: Pattern,
-              reconstruct_image: Callable, check: bool) -> FullPlacement:
-    # The map is a pure function of the board and the placement, so the board
-    # keeps each image, and the border sequence of each placement it reads or
-    # produces; the avoider check still runs on every call.
-    if check:
-        _require_avoider(board, placement, avoided)
+def _map_full(board: Board, placement: FullPlacement, avoided: Pattern) -> FullPlacement:
+    # The board keeps each image, a pure function of the board and the
+    # placement, and the border sequence of each placement read or produced.
     key = (avoided, placement)
     image = board._images.get(key)
     if image is None:
-        sequences = board._sequences
-        seq = sequences.get(placement)
+        seq = board._sequences.get(placement)
         if seq is None:
-            seq = sequences[placement] = s_sequence(board, placement)
-        image_seq = plus_transform(board, seq)
-        image = reconstruct_image(board, image_seq, check=False, verify=False)
-        # the reconstruction's self-check, reading a kept sequence if there is one
-        image_held = sequences.get(image)
-        if image_held is None:
-            image_held = s_sequence(board, image)
-        if image_held != image_seq:
-            raise ReconstructionFailure("reconstructed placement does not reproduce the sequence")
-        sequences[image] = image_seq
-        board._images[key] = image
+            seq = board._sequences[placement] = s_sequence(board, placement)
+        image = board._images[key] = _rebuild(board, plus_transform(board, seq),
+                                              _side(avoided).image)
     return image
 
 
-def alpha(board: Board, placement: FullPlacement, *, check: bool = True) -> FullPlacement:
+def alpha(board: Board, placement: FullPlacement) -> FullPlacement:
     """Map a 231-avoiding full placement to the 312-avoiding one whose border
     sequence is the plus_transform of the input's."""
-    return _map_full(board, placement, PATTERN_231, reconstruct_312, check)
+    _require_avoider(board, placement, PATTERN_231)
+    return _map_full(board, placement, PATTERN_231)
 
 
-def beta(board: Board, placement: FullPlacement, *, check: bool = True) -> FullPlacement:
+def beta(board: Board, placement: FullPlacement) -> FullPlacement:
     """Inverse of ``alpha``: 312-avoiders to 231-avoiders via plus_transform."""
-    return _map_full(board, placement, PATTERN_312, reconstruct_231, check)
+    _require_avoider(board, placement, PATTERN_312)
+    return _map_full(board, placement, PATTERN_312)
 
 
 @dataclass(frozen=True)
@@ -249,25 +235,24 @@ def expand(context: CompactionContext, placement: FullPlacement) -> Placement:
         for c, r in enumerate(placement.perm, start=1)))
 
 
-def _map_general(board: Board, placement, avoided: Pattern, map_full: Callable,
-                 check: bool) -> Placement:
-    if check:
-        _require_avoider(board, placement, avoided)
+def _map_general(board: Board, placement, avoided: Pattern) -> Placement:
     if not placement.markers:
         return Placement(frozenset())
     context, full = compact(board, placement)
-    return expand(context, map_full(context.compact_board, full, check=False))
+    return expand(context, _map_full(context.compact_board, full, avoided))
 
 
-def alpha_general(board: Board, placement, *, check: bool = True) -> Placement:
+def alpha_general(board: Board, placement) -> Placement:
     """Apply ``alpha`` to any 231-avoiding rook placement via compaction.
 
     The image occupies the same rows and columns as the input and avoids 312;
     ``beta_general`` inverts it.
     """
-    return _map_general(board, placement, PATTERN_231, alpha, check)
+    _require_avoider(board, placement, PATTERN_231)
+    return _map_general(board, placement, PATTERN_231)
 
 
-def beta_general(board: Board, placement, *, check: bool = True) -> Placement:
+def beta_general(board: Board, placement) -> Placement:
     """Inverse of ``alpha_general`` on 312-avoiding rook placements."""
-    return _map_general(board, placement, PATTERN_312, beta, check)
+    _require_avoider(board, placement, PATTERN_312)
+    return _map_general(board, placement, PATTERN_312)

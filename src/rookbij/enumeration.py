@@ -14,7 +14,7 @@ from math import prod
 from time import perf_counter
 from typing import Iterable, Iterator
 
-from .bijection import _side, alpha, alpha_general, beta, beta_general, plus_transform
+from .bijection import _map_full, _map_general, _rebuild, _side, plus_transform
 from .board import RIGHT, Board
 from .conditions import format_sequence
 from .errors import ParseError, RookbijError
@@ -216,25 +216,35 @@ def _shape_walks(board: Board, pattern: Pattern) -> int:
 
 
 def rook_placements(board: Board) -> Iterator[Placement]:
-    """Every (possibly partial, possibly empty) rook placement, each exactly once."""
+    """Every (possibly partial, possibly empty) rook placement, each exactly
+    once: each column is left empty, then given each free row from the lowest.
+    Iterative, so no column count reaches the recursion limit."""
     heights = board.heights
+    n = board.n_cols
     markers: list[tuple[int, int]] = []
-    used_rows: set[int] = set()
-
-    def extend(col: int) -> Iterator[Placement]:
-        if col == board.n_cols:
+    used: set[int] = set()  # the rows of the markers
+    rows = [0] * (n + 1)  # the row each column took, 0 for none
+    pending = [iter(range(heights[0] + 1))]  # rows to try, per column; 0 for none
+    while pending:
+        col = len(pending)
+        if rows[col]:  # back at this column: free the row it had
+            used.remove(rows[col])
+            markers.pop()
+        for row in pending[-1]:
+            if row not in used:
+                break
+        else:
+            rows[col] = 0
+            pending.pop()
+            continue
+        rows[col] = row
+        if row:
+            used.add(row)
+            markers.append((col, row))
+        if col == n:
             yield Placement(frozenset(markers))
-            return
-        yield from extend(col + 1)  # column left empty
-        for row in range(1, heights[col] + 1):
-            if row not in used_rows:
-                used_rows.add(row)
-                markers.append((col + 1, row))
-                yield from extend(col + 1)
-                markers.pop()
-                used_rows.remove(row)
-
-    yield from extend(0)
+        else:
+            pending.append(iter(range(heights[col] + 1)))
 
 
 def boards_within(n: int, square_bounded_only: bool = False,
@@ -455,7 +465,8 @@ def _check_t1(board: Board) -> list[Failure]:
     for pattern, avoiders in _avoiders(board, full_placements(board)).items():
         seen: dict[tuple[int, ...], FullPlacement] = {}
         for p in avoiders:
-            seq = s_sequence(board, p)
+            # kept on the board, where the reconstruction's self-check reads it
+            seq = board._sequences[p] = board._sequences.get(p) or s_sequence(board, p)
             if seq in seen:
                 failures.append(Failure(
                     board, "t1",
@@ -464,7 +475,7 @@ def _check_t1(board: Board) -> list[Failure]:
                 continue
             seen[seq] = p
             try:
-                rebuilt = _side(pattern).reconstruct(board, seq, check=False, verify=False)
+                rebuilt = _rebuild(board, seq, pattern)
             except RookbijError as exc:
                 failures.append(Failure(
                     board, "t1",
@@ -500,18 +511,20 @@ def _check_t2(board: Board) -> list[Failure]:
     return failures
 
 
-def _check_bijection(board: Board, tag: str, sources, targets, forward,
+def _check_bijection(board: Board, tag: str, sources, targets, core, forward,
                      backward) -> list[Failure]:
-    # forward maps the sources onto the targets and backward undoes it.  The
+    # forward maps the sources onto the targets and backward undoes it.  Each
+    # is a public map, given as its name, which failures show for a replay,
+    # and the pattern its inputs avoid, with which ``core`` runs it.  The
     # images are compared with the targets as marker sets, so an image that
     # contains the other pattern or leaves its compaction class is reported.
-    f, b = forward.__name__, backward.__name__
+    (f, f_pattern), (b, b_pattern) = forward, backward
     failures = []
     images: dict[frozenset, Placement | FullPlacement] = {}
     for p in sources:
         try:
-            q = forward(board, p, check=False)
-            back = backward(board, q, check=False)
+            q = core(board, p, f_pattern)
+            back = core(board, q, b_pattern)
         except RookbijError as exc:
             failures.append(Failure(
                 board, tag, f"{f}/{b} failed on {format_placement(p, board)}: {exc}"))
@@ -535,9 +548,10 @@ def _check_t4(board: Board) -> list[Failure]:
     # and plus_transform is an involution on realized sequences.
     placements = list(full_placements(board))
     avoiders = _avoiders(board, placements)
-    failures = (
-        _check_bijection(board, "t4", avoiders[PATTERN_231], avoiders[PATTERN_312], alpha, beta)
-        + _check_bijection(board, "t4", avoiders[PATTERN_312], avoiders[PATTERN_231], beta, alpha))
+    a231, a312 = avoiders[PATTERN_231], avoiders[PATTERN_312]
+    alpha, beta = ("alpha", PATTERN_231), ("beta", PATTERN_312)
+    failures = (_check_bijection(board, "t4", a231, a312, _map_full, alpha, beta)
+                + _check_bijection(board, "t4", a312, a231, _map_full, beta, alpha))
     for p in placements:
         seq = s_sequence(board, p)
         if plus_transform(board, plus_transform(board, seq)) != seq:
@@ -569,8 +583,9 @@ def _check_remark(board: Board) -> list[Failure]:
         failures.append(Failure(
             board, "remark", f"{n_231} placements avoid 231 but {n_312} avoid 312"))
     for avoiders_231, avoiders_312 in classes.values():
-        failures.extend(_check_bijection(board, "remark", avoiders_231, avoiders_312,
-                                         alpha_general, beta_general))
+        failures.extend(_check_bijection(
+            board, "remark", avoiders_231, avoiders_312, _map_general,
+            ("alpha_general", PATTERN_231), ("beta_general", PATTERN_312)))
     return failures
 
 
@@ -584,8 +599,7 @@ _CHECKS = {
 
 
 def _require_within_sweep_box(board: Board) -> None:
-    # The checks enumerate up to n! full placements, and remark every rook
-    # placement, recursing once per column.
+    # The checks enumerate up to n! full placements, and remark every rook placement.
     if max(board.n_cols, board.n_rows) > MAX_SWEEP_N:
         raise ParseError(f"--board must fit within {MAX_SWEEP_N}x{MAX_SWEEP_N}, "
                          "the box of the largest --max-n")

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 from rookbij.bijection import _side
 from rookbij.board import Board, Vertex
 from rookbij.enumeration import _allowed, _border_rules
-from rookbij.placement import FullPlacement, Pattern, avoids
+from rookbij.placement import FullPlacement, Pattern, Placement, avoids
 
 
 def s_grid(board: Board, placement) -> dict[Vertex, int]:
@@ -113,6 +113,29 @@ def full_placements_by_backtracking(board: Board) -> Iterator[FullPlacement]:
                 yield from extend(col + 1)
                 perm.pop()
                 used[row] = False
+
+    yield from extend(0)
+
+
+def rook_placements_by_recursion(board: Board) -> Iterator[Placement]:
+    """Every rook placement: each column, left to right, is left empty and
+    then given each free row up to its height, recursing once per column."""
+    heights = board.heights
+    markers: list[tuple[int, int]] = []
+    used_rows: set[int] = set()
+
+    def extend(col: int) -> Iterator[Placement]:
+        if col == board.n_cols:
+            yield Placement(frozenset(markers))
+            return
+        yield from extend(col + 1)  # column left empty
+        for row in range(1, heights[col] + 1):
+            if row not in used_rows:
+                used_rows.add(row)
+                markers.append((col + 1, row))
+                yield from extend(col + 1)
+                markers.pop()
+                used_rows.remove(row)
 
     yield from extend(0)
 

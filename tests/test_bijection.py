@@ -1,3 +1,4 @@
+import inspect
 import sys
 import threading
 
@@ -88,11 +89,11 @@ def test_reconstruct_312_examples(heights, seq, perm):
 
 
 def test_reconstruct_precondition_failures():
-    condition_text = {
-        reconstruct_231: "ZERO at border indices 0-1",
-        reconstruct_312: "ZERO at border indices 0-1; DIAGONAL at (1,2)>(2,1)",
-    }
-    for reconstruct, text in condition_text.items():
+    condition_text = (
+        (reconstruct_231, PATTERN_231, "ZERO at border indices 0-1"),
+        (reconstruct_312, PATTERN_312, "ZERO at border indices 0-1; DIAGONAL at (1,2)>(2,1)"),
+    )
+    for reconstruct, pattern, text in condition_text:
         with pytest.raises(ConditionViolation) as exc:
             reconstruct(Board((2, 2)), (0, 0, 1, 1, 0))
         assert str(exc.value) == text
@@ -101,9 +102,9 @@ def test_reconstruct_precondition_failures():
         assert str(exc.value) == "board's longest row and column differ; no full placement exists"
         with pytest.raises(LengthMismatch):
             reconstruct(Board((2, 2)), (0, 1, 0))
-        # bad input sneaking past the checks must still be rejected
+        # bad input sneaking past the checks, into the core, must still be rejected
         with pytest.raises(ReconstructionFailure):
-            reconstruct(Board((2, 2)), (0, 0, 0, 0, 0), check=False)
+            bijection._rebuild(Board((2, 2)), (0, 0, 0, 0, 0), pattern)
 
 
 def test_reconstruct_round_trip_small():
@@ -269,13 +270,14 @@ def test_threads_sharing_one_board_get_fresh_board_images():
     assert results == [expected] * len(results)
 
 
-@pytest.mark.parametrize("forward,name,avoided", [
-    (alpha, "reconstruct_312", PATTERN_231),
-    (beta, "reconstruct_231", PATTERN_312),
+@pytest.mark.parametrize("forward,image,avoided", [
+    (alpha, PATTERN_312, PATTERN_231),
+    (beta, PATTERN_231, PATTERN_312),
 ], ids=["alpha", "beta"])
-def test_maps_check_images_whose_sequence_the_board_holds(monkeypatch, forward, name, avoided):
+def test_maps_check_images_whose_sequence_the_board_holds(monkeypatch, forward, image, avoided):
     # The maps keep the border sequence of every placement they read or
-    # produce; an image checked against a kept sequence must still fail.
+    # produce; a wrong rebuild, below the self-check, checked against a kept
+    # sequence must still fail.
     board = Board((4, 4, 4, 4))
     first, second = [p for p in full_placements(board) if avoids(board, p, avoided)
                      and plus_transform(board, s_sequence(board, p)) != s_sequence(board, p)][:2]
@@ -283,12 +285,54 @@ def test_maps_check_images_whose_sequence_the_board_holds(monkeypatch, forward, 
     assert board._sequences[first] == s_sequence(board, first)
     assert board._sequences[held_image] == s_sequence(board, held_image)
     for wrong in (first, held_image):  # an input and an image the board holds
-        monkeypatch.setattr(bijection, name, lambda *args, **kwargs: wrong)
+        monkeypatch.setattr(bijection, "_raw_rebuild", _returning(wrong, image))
         with pytest.raises(ReconstructionFailure,
                            match="reconstructed placement does not reproduce the sequence"):
             forward(board, second)
     monkeypatch.undo()
     assert forward(board, second) not in (first, held_image)
+
+
+def _returning(wrong, rebuilt):
+    """A raw rebuild step that returns ``wrong`` for a ``rebuilt``-avoider."""
+    def raw_rebuild(board, seq, pattern):
+        assert pattern == rebuilt
+        return wrong
+    return raw_rebuild
+
+
+@pytest.mark.parametrize("reconstruct,pattern", [
+    (reconstruct_231, PATTERN_231),
+    (reconstruct_312, PATTERN_312),
+], ids=["231", "312"])
+def test_reconstruct_self_checks_a_wrong_rebuild(monkeypatch, reconstruct, pattern):
+    # The raw rebuild step returns another avoider; the self-check catches it
+    # on a fresh board, and on one that holds the wrong placement's sequence.
+    board = Board((4, 4, 4, 4))
+    right, wrong = [p for p in full_placements(board) if avoids(board, p, pattern)][:2]
+    seq = s_sequence(board, right)
+    assert reconstruct(board, seq) == right
+    held = Board(board.heights)
+    assert reconstruct(held, s_sequence(board, wrong)) == wrong
+    assert held._sequences[wrong] == s_sequence(board, wrong)
+    monkeypatch.setattr(bijection, "_raw_rebuild", _returning(wrong, pattern))
+    fresh = Board(board.heights)
+    for target in (fresh, held):
+        with pytest.raises(ReconstructionFailure,
+                           match="reconstructed placement does not reproduce the sequence"):
+            reconstruct(target, seq)
+    assert not fresh._sequences  # a failed self-check keeps nothing
+
+
+def test_public_maps_take_no_flags():
+    # The public functions always check their input; the sweeps call the
+    # private cores instead of switching checks off.
+    for function, second in [
+        (reconstruct_231, "seq"), (reconstruct_312, "seq"),
+        (alpha, "placement"), (beta, "placement"),
+        (alpha_general, "placement"), (beta_general, "placement"),
+    ]:
+        assert list(inspect.signature(function).parameters) == ["board", second], function
 
 
 def test_compact_heights_match_a_count_within_5():

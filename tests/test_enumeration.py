@@ -271,15 +271,28 @@ def test_increasing_and_decreasing_patterns_are_shape_wilf_within_6(increasing):
             count_avoiders_by_filter(board, Pattern(increasing[::-1])), board
 
 
-def _planted(original, mode):
-    """``original`` with one fault planted on the first input it moves:
-    raise ``ReconstructionFailure``, or return a wrong image (the input
-    itself, or for partial placements the input less one marker)."""
+# The private core each public map stands for in the sweeps, and the pattern
+# its inputs avoid; the core takes that pattern as its third argument.
+_CORES = {
+    "alpha": ("_map_full", PATTERN_231),
+    "beta": ("_map_full", PATTERN_312),
+    "alpha_general": ("_map_general", PATTERN_231),
+    "beta_general": ("_map_general", PATTERN_312),
+}
+# The pattern each public reconstruction passes to the core ``_rebuild``.
+_REBUILT = {"reconstruct_231": PATTERN_231, "reconstruct_312": PATTERN_312}
+
+
+def _planted(original, mode, avoided):
+    """``original``, a map core, with one fault planted on the first input it
+    moves away from the ``avoided`` pattern's side: raise
+    ``ReconstructionFailure``, or return a wrong image (the input itself, or
+    for partial placements the input less one marker)."""
     planted = []
 
-    def faulty(board, placement, **kwargs):
-        image = original(board, placement, **kwargs)
-        if planted or image == placement:
+    def faulty(board, placement, pattern):
+        image = original(board, placement, pattern)
+        if planted or pattern != avoided or image == placement:
             return image
         planted.append(placement)
         if mode == "raise":
@@ -289,6 +302,21 @@ def _planted(original, mode):
         return placement
 
     return faulty
+
+
+def _wrong_rebuild(original, rebuilt):
+    """``original``, the core ``_rebuild``, returning some other full
+    placement the first time it rebuilds a ``rebuilt``-avoider."""
+    planted = []
+
+    def wrong(board, seq, pattern):
+        result = original(board, seq, pattern)
+        if planted or pattern != rebuilt:
+            return result
+        planted.append(seq)
+        return next(p for p in full_placements(board) if p != result)
+
+    return wrong, planted
 
 
 @pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])
@@ -303,7 +331,8 @@ def _planted(original, mode):
 def test_check_board_reports_planted_map_faults(monkeypatch, heights, name, tag, mode):
     board = Board(heights)
     assert check_board(board, tag) == []
-    monkeypatch.setattr(enumeration, name, _planted(getattr(enumeration, name), mode))
+    core, avoided = _CORES[name]
+    monkeypatch.setattr(enumeration, core, _planted(getattr(enumeration, core), mode, avoided))
     failures = check_board(board, tag)
     assert failures and all(f.theorem == tag for f in failures)
 
@@ -312,17 +341,8 @@ def test_check_board_reports_planted_map_faults(monkeypatch, heights, name, tag,
 @pytest.mark.parametrize("name", ["reconstruct_231", "reconstruct_312"])
 def test_check_board_reports_planted_reconstruction_faults(monkeypatch, heights, name):
     board = Board(heights)
-    original = getattr(bijection, name)
-    planted = []
-
-    def wrong(board, seq, **kwargs):
-        result = original(board, seq, **kwargs)
-        if planted:
-            return result
-        planted.append(seq)
-        return next(p for p in full_placements(board) if p != result)
-
-    monkeypatch.setattr(bijection, name, wrong)
+    wrong, _ = _wrong_rebuild(enumeration._rebuild, _REBUILT[name])
+    monkeypatch.setattr(enumeration, "_rebuild", wrong)
     failures = check_board(board, "t1")
     assert failures and all(f.theorem == "t1" for f in failures)
 
@@ -331,11 +351,12 @@ def test_check_board_reports_planted_reconstruction_faults(monkeypatch, heights,
 @pytest.mark.parametrize("name", ["alpha", "beta"])
 @pytest.mark.parametrize("mode", ["input", "raise"])
 def test_remark_reports_planted_full_map_faults(monkeypatch, heights, name, mode):
-    # The general maps call bijection.alpha and bijection.beta on compacted
-    # boards, which keep their images; the fault sits above those images.
+    # The general maps call bijection._map_full on compacted boards, which
+    # keep their images; the fault sits above those images.
     board = Board(heights)
     assert check_board(board, "remark") == []
-    monkeypatch.setattr(bijection, name, _planted(getattr(bijection, name), mode))
+    _, avoided = _CORES[name]
+    monkeypatch.setattr(bijection, "_map_full", _planted(bijection._map_full, mode, avoided))
     failures = check_board(board, "remark")
     assert failures and all(f.theorem == "remark" for f in failures)
 
@@ -343,20 +364,11 @@ def test_remark_reports_planted_full_map_faults(monkeypatch, heights, name, mode
 @pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])
 @pytest.mark.parametrize("name", ["reconstruct_231", "reconstruct_312"])
 def test_t4_reports_planted_reconstruction_faults(monkeypatch, heights, name):
-    # alpha and beta reconstruct each image through these names once per
-    # board, so the faulty board is fresh: it has not mapped anything yet.
+    # The maps rebuild each image through bijection._rebuild once per board,
+    # so the faulty board is fresh: it has not mapped anything yet.
     assert check_board(Board(heights), "t4") == []
-    original = getattr(bijection, name)
-    planted = []
-
-    def wrong(board, seq, **kwargs):
-        result = original(board, seq, **kwargs)
-        if planted:
-            return result
-        planted.append(seq)
-        return next(p for p in full_placements(board) if p != result)
-
-    monkeypatch.setattr(bijection, name, wrong)
+    wrong, planted = _wrong_rebuild(bijection._rebuild, _REBUILT[name])
+    monkeypatch.setattr(bijection, "_rebuild", wrong)
     failures = check_board(Board(heights), "t4")
     assert planted and failures and all(f.theorem == "t4" for f in failures)
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rookbij import enumeration
-from rookbij.bijection import alpha, alpha_general, beta, beta_general
+from rookbij.bijection import _map_full, alpha, alpha_general, beta, beta_general
 from rookbij.board import Board
 from rookbij.enumeration import (
     _END,
@@ -38,6 +38,7 @@ from oracles import (
     diagonal_pairs_by_scan,
     full_placements_by_backtracking,
     pattern_witness_by_scan,
+    rook_placements_by_recursion,
 )
 
 PATTERNS = [Pattern(word) for k in (1, 2, 3) for word in permutations(range(1, k + 1))]
@@ -163,6 +164,16 @@ def test_full_placements_match_backtracking_within_7():
             list(full_placements_by_backtracking(board)), board
 
 
+def test_rook_placements_match_recursion_within_5():
+    for board in boards_within(5):
+        assert list(rook_placements(board)) == list(rook_placements_by_recursion(board)), board
+
+
+def test_rook_placements_reach_past_the_recursion_limit():
+    # one row of 1000 columns: empty, or one marker in any column
+    assert sum(1 for _ in rook_placements(Board((1,) * 1000))) == 1001
+
+
 @pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
 def test_sequence_walk_counts_catalan_on_squares_to_15(pattern):
     for n in range(1, 16):
@@ -215,17 +226,18 @@ def test_maps_on_reused_board_match_fresh_board(forward, backward, pattern, n, p
 
 
 def test_unchecked_maps_on_reused_board_match_fresh_board_within_5():
-    # Unchecked, a map takes any full placement to an image or an error; as a
-    # pure function of (board, direction, placement), a reused board agrees.
-    def outcome(map_full, board, p):
+    # Unchecked, the core of alpha and beta takes any full placement to an
+    # image or an error; as a pure function of (board, direction, placement),
+    # a reused board agrees.
+    def outcome(board, p, avoided):
         try:
-            return map_full(board, p, check=False)
+            return _map_full(board, p, avoided)
         except RookbijError as exc:
             return repr(exc)
 
     for board in boards_within(5, full_only=True):
         for _ in range(2):
             for p in full_placements(board):
-                for map_full in (alpha, beta):
-                    assert outcome(map_full, board, p) == \
-                        outcome(map_full, Board(board.heights), p), (board, p)
+                for avoided in (PATTERN_231, PATTERN_312):
+                    assert outcome(board, p, avoided) == \
+                        outcome(Board(board.heights), p, avoided), (board, p)
