@@ -31,9 +31,9 @@ from .placement import (
     FullPlacement,
     Pattern,
     Placement,
-    inverse_placement,
+    _reflect,
+    _s_sequence,
     pattern_witness,
-    s_sequence,
 )
 
 
@@ -111,7 +111,7 @@ def _rebuild(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPlacem
     board holds or else a computed one, must be ``seq``; the board then holds it."""
     result = _raw_rebuild(board, seq, pattern)
     sequences = board._sequences
-    if (sequences.get(result) or s_sequence(board, result)) != seq:
+    if (sequences.get(result) or _s_sequence(board, result)) != seq:
         raise ReconstructionFailure("reconstructed placement does not reproduce the sequence")
     sequences[result] = seq
     return result
@@ -124,36 +124,45 @@ def _raw_rebuild(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPl
     column's marker sits in the highest row j with b_j > b_{j-1}.  Deleting
     that column and row leaves a smaller board whose sequence keeps the
     prefix through a_r and continues with a_r repeated down to row j, then
-    b_{j-1}..b_0.  For 312 it runs the 231 rebuild on the conjugate board
-    with the reversed sequence and reflects the result back."""
+    b_{j-1}..b_0.  The working sequence and heights shrink in place.  For
+    312 it runs the 231 rebuild on the conjugate board with the reversed
+    sequence and reflects the result back."""
     if pattern == PATTERN_312:
         conj = board.conjugate()
-        return inverse_placement(conj, _raw_rebuild(conj, tuple(reversed(seq)), PATTERN_231))
+        return _reflect(_raw_rebuild(conj, tuple(reversed(seq)), PATTERN_231))
     heights = list(board.heights)
     work = list(seq)
     rows_alive = list(range(1, board.n_rows + 1))
-    marker_rows: dict[int, int] = {}
+    perm = [0] * board.n_cols
     while heights:
         n = len(heights)
         r = heights[-1]
         if len(work) != n + heights[0] + 1 or len(rows_alive) != heights[0]:
             raise ReconstructionFailure("working sequence out of step with working board")
-        tail = work[-(r + 1):]  # tail[i] = value at vertex (n, r - i)
-        a_top = work[-(r + 2)]
-        j = next((jj for jj in range(r, 0, -1) if tail[r - jj] > tail[r - jj + 1]), 0)
-        if j == 0:
+        end = len(work) - 1  # work[end - y] = b_y, and work[top - 1] = a_r
+        top = end - r
+        for i in range(top, end):
+            if work[i] > work[i + 1]:
+                break
+        else:
             raise ReconstructionFailure(f"no admissible marker row for column {n}")
-        marker_rows[n] = rows_alive.pop(j - 1)
-        new_heights = [h - 1 if h >= j else h for h in heights[:-1]]
-        if any(h < 1 for h in new_heights):
+        j = end - i
+        perm[n - 1] = rows_alive.pop(j - 1)
+        heights.pop()
+        for c, h in enumerate(heights):  # the columns reaching row j lose it
+            if h < j:
+                break
+            heights[c] = h - 1
+        if heights and not heights[-1]:  # the shortest column
             raise ReconstructionFailure("row deletion empties a column; sequence not realizable")
-        new_tail = [a_top if y >= j else tail[r - y] for y in range(r - 2, -1, -1)]
-        work = work[:-(r + 1)] + new_tail
-        heights = new_heights
+        # the new right-hand column's line: a_r from row r - 2 down to row j,
+        # then b_y below row j
+        low = min(j, r - 1)
+        work[top:end + 1 - low] = [work[top - 1]] * (r - 1 - low)
     if work != [0] or rows_alive:
         raise ReconstructionFailure("sequence does not reduce to the empty board")
     try:
-        result = FullPlacement(tuple(marker_rows[c] for c in range(1, board.n_cols + 1)))
+        result = FullPlacement(tuple(perm))
         result.validate_on(board)
     except InvalidPlacement as exc:
         raise ReconstructionFailure(str(exc)) from exc
@@ -168,7 +177,7 @@ def _map_full(board: Board, placement: FullPlacement, avoided: Pattern) -> FullP
     if image is None:
         seq = board._sequences.get(placement)
         if seq is None:
-            seq = board._sequences[placement] = s_sequence(board, placement)
+            seq = board._sequences[placement] = _s_sequence(board, placement)
         image = board._images[key] = _rebuild(board, plus_transform(board, seq),
                                               _side(avoided).image)
     return image

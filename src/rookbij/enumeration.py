@@ -24,9 +24,11 @@ from .placement import (
     FullPlacement,
     Pattern,
     Placement,
+    _by_column,
+    _pattern_witness,
+    _s_sequence,
     avoids,
     format_placement,
-    s_sequence,
 )
 
 THEOREM_TAGS = ("l1", "t1", "t2", "t4", "remark")
@@ -218,7 +220,10 @@ def _shape_walks(board: Board, pattern: Pattern) -> int:
 def rook_placements(board: Board) -> Iterator[Placement]:
     """Every (possibly partial, possibly empty) rook placement, each exactly
     once: each column is left empty, then given each free row from the lowest.
-    Iterative, so no column count reaches the recursion limit."""
+    A prefix whose next column has no free row is yielded at once, the later
+    columns left empty: they are no taller, so they have no free row either.
+    So the work follows the placements yielded.  Iterative, so no column
+    count reaches the recursion limit."""
     heights = board.heights
     n = board.n_cols
     markers: list[tuple[int, int]] = []
@@ -241,7 +246,7 @@ def rook_placements(board: Board) -> Iterator[Placement]:
         if row:
             used.add(row)
             markers.append((col, row))
-        if col == n:
+        if col == n or all(r in used for r in range(1, heights[col] + 1)):
             yield Placement(frozenset(markers))
         else:
             pending.append(iter(range(heights[col] + 1)))
@@ -450,10 +455,13 @@ def _check_l1(board: Board) -> list[Failure]:
 
 def _avoiders(board: Board, placements: Iterable[FullPlacement]
               ) -> dict[Pattern, list[FullPlacement]]:
+    # The sweeps generate the placements on the board, so the search runs
+    # unchecked, on markers listed once for both patterns.
     out: dict[Pattern, list[FullPlacement]] = {PATTERN_231: [], PATTERN_312: []}
     for p in placements:
+        markers = _by_column(p)
         for pattern in (PATTERN_231, PATTERN_312):
-            if avoids(board, p, pattern):
+            if _pattern_witness(board, markers, pattern) is None:
                 out[pattern].append(p)
     return out
 
@@ -466,7 +474,7 @@ def _check_t1(board: Board) -> list[Failure]:
         seen: dict[tuple[int, ...], FullPlacement] = {}
         for p in avoiders:
             # kept on the board, where the reconstruction's self-check reads it
-            seq = board._sequences[p] = board._sequences.get(p) or s_sequence(board, p)
+            seq = board._sequences[p] = board._sequences.get(p) or _s_sequence(board, p)
             if seq in seen:
                 failures.append(Failure(
                     board, "t1",
@@ -497,7 +505,7 @@ def _check_t2(board: Board) -> list[Failure]:
     failures = []
     avoiders = _avoiders(board, full_placements(board))
     for pattern in (PATTERN_231, PATTERN_312):
-        realized = {s_sequence(board, p) for p in avoiders[pattern]}
+        realized = {_s_sequence(board, p) for p in avoiders[pattern]}
         accepted = set(valid_sequences(board, pattern))
         for seq in sorted(realized - accepted):
             failures.append(Failure(
@@ -553,28 +561,26 @@ def _check_t4(board: Board) -> list[Failure]:
     failures = (_check_bijection(board, "t4", a231, a312, _map_full, alpha, beta)
                 + _check_bijection(board, "t4", a312, a231, _map_full, beta, alpha))
     for p in placements:
-        seq = s_sequence(board, p)
+        seq = board._sequences.get(p) or _s_sequence(board, p)  # the maps kept most
         if plus_transform(board, plus_transform(board, seq)) != seq:
             failures.append(Failure(
                 board, "t4", f"plus_transform not involutive on {format_sequence(seq)}"))
     return failures
 
 
-def _occupied(p: Placement) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The compaction class of a placement: its occupied columns and rows."""
-    return tuple(sorted(c for c, _ in p.markers)), tuple(sorted(r for _, r in p.markers))
-
-
 def _check_remark(board: Board) -> list[Failure]:
     # Partial placements: 231- and 312-avoider counts agree, and
     # alpha_general/beta_general are inverse bijections on every compaction
-    # class.
+    # class, the placements occupying the same columns and rows.  As in
+    # ``_avoiders``, the search runs unchecked on the generated placements.
     classes: dict[tuple, tuple[list[Placement], list[Placement]]] = {}
     for p in rook_placements(board):
-        avoiders_231, avoiders_312 = classes.setdefault(_occupied(p), ([], []))
-        if avoids(board, p, PATTERN_231):
+        markers = _by_column(p)
+        occupied = tuple(c for c, _ in markers), tuple(sorted(r for _, r in markers))
+        avoiders_231, avoiders_312 = classes.setdefault(occupied, ([], []))
+        if _pattern_witness(board, markers, PATTERN_231) is None:
             avoiders_231.append(p)
-        if avoids(board, p, PATTERN_312):
+        if _pattern_witness(board, markers, PATTERN_312) is None:
             avoiders_312.append(p)
     failures = []
     n_231 = sum(len(a) for a, _ in classes.values())

@@ -99,9 +99,11 @@ class FullPlacement:
                 raise InvalidPlacement(f"marker ({col},{row}) is outside the board")
 
 
-def _validated_markers(board: Board, placement) -> frozenset[tuple[int, int]]:
-    placement.validate_on(board)
-    return placement.markers
+def _by_column(placement) -> tuple[tuple[int, int], ...]:
+    """The markers of a placement as (column, row) pairs, column by column."""
+    if isinstance(placement, FullPlacement):
+        return tuple(enumerate(placement.perm, start=1))
+    return tuple(sorted(placement.markers))
 
 
 def pattern_witness(board: Board, placement, pattern: Pattern):
@@ -110,19 +112,29 @@ def pattern_witness(board: Board, placement, pattern: Pattern):
 
     Using the bounding vertex (max column, max row) is equivalent to checking
     the restriction to R(V) for every border vertex V, since the rectangles
-    R(V) are exactly the maximal rectangles inside the board.
-
-    Depth-first over the column-sorted markers in ``combinations`` order, so
-    the witness is the first such tuple.  A marker is taken only when its row
-    keeps the chosen rows order-isomorphic to the pattern prefix, and a scan
-    stops at the first column lower than the highest row chosen so far: later
-    columns are no taller, so no completion could have its bounding square on
-    the board.
+    R(V) are exactly the maximal rectangles inside the board.  Checks the
+    placement against the board, then runs ``_pattern_witness``.
     """
-    markers = sorted(_validated_markers(board, placement))
+    placement.validate_on(board)
+    return _pattern_witness(board, _by_column(placement), pattern)
+
+
+def _pattern_witness(board: Board, markers: tuple[tuple[int, int], ...], pattern: Pattern):
+    """``pattern_witness`` on the ``_by_column`` markers of a placement known
+    to be on the board.
+
+    Depth-first over the markers in ``combinations`` order, so the witness is
+    the first such tuple.  A marker is taken only when its row keeps the
+    chosen rows order-isomorphic to the pattern prefix, and a scan stops at
+    the first column lower than the highest row chosen so far: later columns
+    are no taller, so no completion could have its bounding square on the
+    board.
+    """
     heights = board.heights
     neighbours = pattern.neighbours
     k = len(neighbours)
+    last = len(markers) - k  # the last start that leaves room for the whole pattern
+    roof = board.n_rows + 1
     chosen: list[tuple[int, int]] = []
 
     def search(start: int, top: int):
@@ -131,8 +143,8 @@ def pattern_witness(board: Board, placement, pattern: Pattern):
             return tuple(chosen)
         below, above = neighbours[d]
         lo = chosen[below][1] if below is not None else 0
-        hi = chosen[above][1] if above is not None else board.n_rows + 1
-        for j in range(start, len(markers) - k + d + 1):
+        hi = chosen[above][1] if above is not None else roof
+        for j in range(start, last + d + 1):
             marker = markers[j]
             col, row = marker
             if heights[col - 1] < top:
@@ -156,6 +168,15 @@ def s_sequence(board: Board, placement) -> tuple[int, ...]:
     """The chain statistic read along the border, top-left corner first.
 
     The value at vertex V is the longest increasing marker chain inside R(V).
+    Checks the placement against the board, then runs ``_s_sequence``.
+    """
+    placement.validate_on(board)
+    return _s_sequence(board, placement)
+
+
+def _s_sequence(board: Board, placement) -> tuple[int, ...]:
+    """``s_sequence`` of a placement known to be on the board.
+
     Columns are swept left to right by the local growth rule, keeping only
     the previous column: zero along the left and bottom edges; a marked
     square forces NE = SW + 1, an unmarked square NE = max(NW, SE).  Column
@@ -164,14 +185,19 @@ def s_sequence(board: Board, placement) -> tuple[int, ...]:
     reaches the marker value.  Each column's border vertices are read as the
     sweep passes them.
     """
-    row_of = dict(_validated_markers(board, placement))
+    if isinstance(placement, FullPlacement):
+        rows = placement.perm
+    else:
+        rows = [0] * board.n_cols  # the marker row of each column, 0 for none
+        for col, row in placement.markers:
+            rows[col - 1] = row
     heights = board.heights
     prev = [0] * (board.n_rows + 1)
     out = [0]
     for col, height in enumerate(heights, start=1):
         cur = prev[:height + 1]
-        row = row_of.get(col)
-        if row is not None:
+        row = rows[col - 1]
+        if row:
             value = prev[row - 1] + 1
             while row <= height and cur[row] < value:
                 cur[row] = value
@@ -185,12 +211,17 @@ def s_sequence(board: Board, placement) -> tuple[int, ...]:
 def inverse_placement(board: Board, placement: FullPlacement) -> FullPlacement:
     """Reflect a full placement across the main diagonal, onto the conjugate board."""
     placement.validate_on(board)
+    out = _reflect(placement)
+    out.validate_on(board.conjugate())
+    return out
+
+
+def _reflect(placement: FullPlacement) -> FullPlacement:
+    """The inverse permutation: each marker (c, r) moved to (r, c)."""
     inverse = [0] * len(placement.perm)
     for col, row in enumerate(placement.perm, start=1):
         inverse[row - 1] = col
-    out = FullPlacement(tuple(inverse))
-    out.validate_on(board.conjugate())
-    return out
+    return FullPlacement(tuple(inverse))
 
 
 def parse_placement(text: str, board: Board):

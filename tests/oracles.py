@@ -11,7 +11,16 @@ from typing import Iterable, Iterator
 from rookbij.bijection import _side
 from rookbij.board import Board, Vertex
 from rookbij.enumeration import _allowed, _border_rules
-from rookbij.placement import FullPlacement, Pattern, Placement, avoids
+from rookbij.errors import InvalidPlacement, ReconstructionFailure
+from rookbij.placement import (
+    PATTERN_231,
+    PATTERN_312,
+    FullPlacement,
+    Pattern,
+    Placement,
+    avoids,
+    inverse_placement,
+)
 
 
 def s_grid(board: Board, placement) -> dict[Vertex, int]:
@@ -208,3 +217,46 @@ def border_sequences_by_search(board: Board, pattern: Pattern):
             pending.append(iter(allowed(i + 1)))
         elif v == 0:
             yield tuple(values)
+
+
+def rebuild_by_slicing(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPlacement:
+    """The avoider rebuilt from its border sequence, with no self-check, by
+    building a new working sequence and a new list of heights for each
+    column removed.  For 231 it works right to left: the right-hand column's
+    marker sits in the highest row j where the values down its vertex line
+    rise, and deleting that column and row leaves the prefix through the
+    value left of the column top, that value repeated down to row j, then the
+    line's values below j.  For 312 it rebuilds 231 on the conjugate board
+    from the reversed sequence and reflects the result back."""
+    if pattern == PATTERN_312:
+        conj = board.conjugate()
+        return inverse_placement(conj, rebuild_by_slicing(conj, tuple(reversed(seq)), PATTERN_231))
+    heights = list(board.heights)
+    work = list(seq)
+    rows_alive = list(range(1, board.n_rows + 1))
+    marker_rows: dict[int, int] = {}
+    while heights:
+        n = len(heights)
+        r = heights[-1]
+        if len(work) != n + heights[0] + 1 or len(rows_alive) != heights[0]:
+            raise ReconstructionFailure("working sequence out of step with working board")
+        tail = work[-(r + 1):]  # tail[i] = value at vertex (n, r - i)
+        a_top = work[-(r + 2)]
+        j = next((jj for jj in range(r, 0, -1) if tail[r - jj] > tail[r - jj + 1]), 0)
+        if j == 0:
+            raise ReconstructionFailure(f"no admissible marker row for column {n}")
+        marker_rows[n] = rows_alive.pop(j - 1)
+        new_heights = [h - 1 if h >= j else h for h in heights[:-1]]
+        if any(h < 1 for h in new_heights):
+            raise ReconstructionFailure("row deletion empties a column; sequence not realizable")
+        new_tail = [a_top if y >= j else tail[r - y] for y in range(r - 2, -1, -1)]
+        work = work[:-(r + 1)] + new_tail
+        heights = new_heights
+    if work != [0] or rows_alive:
+        raise ReconstructionFailure("sequence does not reduce to the empty board")
+    try:
+        result = FullPlacement(tuple(marker_rows[c] for c in range(1, board.n_cols + 1)))
+        result.validate_on(board)
+    except InvalidPlacement as exc:
+        raise ReconstructionFailure(str(exc)) from exc
+    return result

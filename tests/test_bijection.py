@@ -21,6 +21,7 @@ from rookbij.board import Board
 from rookbij.enumeration import boards_within, full_placements, rook_placements
 from rookbij.errors import (
     ConditionViolation,
+    InvalidPlacement,
     LengthMismatch,
     NotAvoider,
     OutOfRange,
@@ -32,6 +33,8 @@ from rookbij.placement import (
     FullPlacement,
     Placement,
     avoids,
+    inverse_placement,
+    pattern_witness,
     s_sequence,
 )
 from oracles import compact_heights_by_count
@@ -333,6 +336,27 @@ def test_public_maps_take_no_flags():
         (alpha_general, "placement"), (beta_general, "placement"),
     ]:
         assert list(inspect.signature(function).parameters) == ["board", second], function
+
+
+@pytest.mark.parametrize("heights,placement,message", [
+    ((3, 3, 3), Placement({(1, 4)}), "marker (1,4) is outside the board"),
+    ((3, 3, 3), Placement({(4, 1)}), "marker (4,1) is outside the board"),
+    ((2, 1), FullPlacement((1, 2)), "marker (2,2) is outside the board"),
+    ((2, 2), FullPlacement((1, 2, 3)), "full placement of size 3 does not fit a 2x2 board"),
+    ((3, 3, 3), Placement({(1, 1), (2, 1)}), "two markers share a row"),
+    ((3, 3, 3), Placement({(1, 1), (1, 2)}), "two markers share a column"),
+], ids=["row-off", "column-off", "full-off", "full-size", "shared-row", "shared-column"])
+@pytest.mark.parametrize("function", [
+    lambda b, p: pattern_witness(b, p, PATTERN_231),
+    lambda b, p: avoids(b, p, PATTERN_312),
+    s_sequence, compact, inverse_placement, alpha, beta, alpha_general, beta_general,
+], ids=["pattern_witness", "avoids", "s_sequence", "compact", "inverse_placement", "alpha",
+        "beta", "alpha_general", "beta_general"])
+def test_public_functions_reject_placements_off_the_board(heights, placement, message, function):
+    # The public functions check every placement; only the private cores trust theirs.
+    with pytest.raises(InvalidPlacement) as caught:
+        function(Board(heights), placement)
+    assert str(caught.value) == message
 
 
 def test_compact_heights_match_a_count_within_5():

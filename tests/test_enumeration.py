@@ -145,6 +145,16 @@ def test_valid_sequences_match_avoiders():
             assert set(valid_sequences(board, pattern)) == realized
 
 
+def test_sweep_avoiders_match_public_avoids_within_5():
+    # The sweeps search their own placements unchecked; the lists, in order,
+    # are those of the public check.
+    for board in boards_within(5):
+        found = enumeration._avoiders(board, full_placements(board))
+        for pattern in (PATTERN_231, PATTERN_312):
+            assert found[pattern] == \
+                [p for p in full_placements(board) if avoids(board, p, pattern)], board
+
+
 def test_lis_oracle_direct():
     markers = {(1, 3), (2, 1), (3, 2)}
     assert lis_in_rectangle(markers, 3, 3) == 2

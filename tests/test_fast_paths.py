@@ -1,14 +1,18 @@
 """Differential tests: each fast kernel against the slow scan it replaced."""
 
-from itertools import permutations
+import os
+import subprocess
+import sys
+from itertools import permutations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rookbij import enumeration
-from rookbij.bijection import _map_full, alpha, alpha_general, beta, beta_general
+from rookbij.bijection import _map_full, _raw_rebuild, alpha, alpha_general, beta, beta_general
 from rookbij.board import Board
 from rookbij.enumeration import (
     _END,
@@ -38,6 +42,7 @@ from oracles import (
     diagonal_pairs_by_scan,
     full_placements_by_backtracking,
     pattern_witness_by_scan,
+    rebuild_by_slicing,
     rook_placements_by_recursion,
 )
 
@@ -169,6 +174,23 @@ def test_rook_placements_match_recursion_within_5():
         assert list(rook_placements(board)) == list(rook_placements_by_recursion(board)), board
 
 
+def test_rook_placements_on_a_wide_row_answer_in_a_capped_child():
+    # One row: each marker leaves no free row for the columns after it, so
+    # each placement is yielded without walking them.  A generator that
+    # walked them would take minutes at 20,000 columns, not a fraction of a
+    # second.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("from rookbij.board import Board\n"
+            "from rookbij.enumeration import rook_placements\n"
+            "for width in (1000, 20000):\n"
+            "    print(sum(1 for _ in rook_placements(Board((1,) * width))))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1001\n20001\n", "")
+
+
 def test_rook_placements_reach_past_the_recursion_limit():
     # one row of 1000 columns: empty, or one marker in any column
     assert sum(1 for _ in rook_placements(Board((1,) * 1000))) == 1001
@@ -241,3 +263,35 @@ def test_unchecked_maps_on_reused_board_match_fresh_board_within_5():
                 for avoided in (PATTERN_231, PATTERN_312):
                     assert outcome(board, p, avoided) == \
                         outcome(Board(board.heights), p, avoided), (board, p)
+
+
+def _rebuilt(rebuild, board, seq, pattern):
+    try:
+        return rebuild(board, seq, pattern)
+    except RookbijError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
+def test_rebuild_in_place_matches_slicing_within_5(pattern):
+    # Every accepted sequence of every square-bounded board, and every sequence
+    # one value off one of them: the same placement, or the same error.
+    cases = 0
+    for board in boards_within(5, square_bounded_only=True):
+        for seq in valid_sequences(board, pattern):
+            nearby = [seq[:i] + (v + d,) + seq[i + 1:] for i, v in enumerate(seq) for d in (-1, 1)]
+            for s in [seq, *nearby]:
+                cases += 1
+                assert _rebuilt(_raw_rebuild, board, s, pattern) == \
+                    _rebuilt(rebuild_by_slicing, board, s, pattern), (board, s)
+    assert cases > 10_000
+
+
+@pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
+def test_rebuild_in_place_matches_slicing_on_every_small_sequence_within_3(pattern):
+    # Every sequence of values 0..2 on every board within 3x3, square-bounded
+    # or not, reaches the failure branches the accepted sequences miss.
+    for board in boards_within(3):
+        for s in product(range(3), repeat=board.n_cols + board.n_rows + 1):
+            assert _rebuilt(_raw_rebuild, board, s, pattern) == \
+                _rebuilt(rebuild_by_slicing, board, s, pattern), (board, s)
