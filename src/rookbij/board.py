@@ -8,6 +8,7 @@ the unit square whose NE corner is the vertex (c, r).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -41,6 +42,23 @@ class BorderPath:
 
     vertices: tuple[Vertex, ...]
     steps: tuple[str, ...]
+
+
+def _border_xy(heights: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The x and the y of every vertex of the border path, top-left corner
+    first: down each column's left edge to its height, right along its top,
+    and after the last column down to (n_cols, 0)."""
+    y = heights[0]
+    xs, ys = [0], [y]
+    for x, h in enumerate(heights):
+        xs.extend([x] * (y - h))
+        ys.extend(range(y - 1, h - 1, -1))
+        xs.append(x + 1)
+        ys.append(h)
+        y = h
+    xs.extend([len(heights)] * y)
+    ys.extend(range(y - 1, -1, -1))
+    return xs, ys
 
 
 @dataclass(frozen=True)
@@ -79,36 +97,32 @@ class Board:
     @cached_property
     def border_path(self) -> BorderPath:
         """The unique monotone lattice path along the right/up border."""
-        x, y = 0, self.n_rows
-        vertices = [Vertex(x, y)]
-        steps = []
-        while (x, y) != (self.n_cols, 0):
-            if x < self.n_cols and self.heights[x] == y:
-                x += 1
-                steps.append(RIGHT)
-            else:
-                y -= 1
-                steps.append(DOWN)
-            vertices.append(Vertex(x, y))
-        return BorderPath(tuple(vertices), tuple(steps))
+        xs, ys = _border_xy(self.heights)
+        vertices = tuple(map(Vertex._make, zip(xs, ys)))
+        steps = tuple(RIGHT if a < b else DOWN for a, b in zip(xs, xs[1:]))
+        return BorderPath(vertices, steps)
 
     @cached_property
     def marker_count_profile(self) -> tuple[int, ...]:
         """Markers of any full placement inside R(V), per border vertex.
 
-        Pure geometry: 0 at the top-left corner, +1 per rightward step, -1 per
-        downward step.  Entries can go negative exactly when the board admits
-        no full placement.
+        Pure geometry: x + y - n_rows at the border vertex (x, y), so 0 at the
+        top-left corner, +1 per rightward step and -1 per downward step.
+        Entries can go negative exactly when the board admits no full
+        placement.
         """
-        values = [0]
-        for step in self.border_path.steps:
-            values.append(values[-1] + (1 if step == RIGHT else -1))
-        return tuple(values)
+        xs, ys = _border_xy(self.heights)
+        top = self.heights[0]
+        return tuple(x + y - top for x, y in zip(xs, ys))
 
     def conjugate(self) -> Board:
         """Reflect the board across the main diagonal; built once per board,
-        and the conjugate's conjugate is this board."""
-        return self._conjugate
+        and the conjugate's conjugate is this board while this board lives.
+        The conjugate links back weakly, so neither keeps the other in a
+        reference cycle that only the cyclic collector frees."""
+        back = self.__dict__.get("_conjugate_of")
+        board = back() if back is not None else None
+        return board if board is not None else self._conjugate
 
     @cached_property
     def _conjugate(self) -> Board:
@@ -118,8 +132,13 @@ class Board:
         for c in range(self.n_cols, 0, -1):
             rows.extend([c] * (self.heights[c - 1] - len(rows)))
         conj = Board(tuple(rows))
-        conj.__dict__["_conjugate"] = self  # the cached_property's slot
+        conj.__dict__["_conjugate_of"] = weakref.ref(self)
         return conj
+
+    def __reduce__(self):
+        # Pickled as its heights alone: the caches are rebuilt on demand,
+        # and the conjugate's weak link back cannot be pickled.
+        return Board, (self.heights,)
 
     # Results of pure functions of this board, filled in by ``bijection``:
     # its compacted boards by heights, its map images by (avoided pattern,

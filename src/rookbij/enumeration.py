@@ -15,7 +15,7 @@ from time import perf_counter
 from typing import Iterable, Iterator
 
 from .bijection import _map_full, _map_general, _rebuild, _side, plus_transform
-from .board import RIGHT, Board
+from .board import RIGHT, Board, _border_xy
 from .conditions import format_sequence
 from .errors import ParseError, RookbijError
 from .placement import (
@@ -192,15 +192,16 @@ def _shape_walks(board: Board, pattern: Pattern) -> int:
     the longest decreasing and as many columns as the longest increasing
     marker chain in R(V).  So the walks with at most k - 1 rows count the
     k...21-avoiders and, transposing every shape, the 12...k-avoiders.  A
-    shape is kept as its row lengths, zeros included.
+    shape is kept as its row lengths, zeros included.  The steps are read off
+    the border coordinates: a step is rightward where x grows.
     """
     rows = min(len(pattern.word) - 1, board.n_cols)  # no shape has more rows than boxes
 
-    def step(layer: dict, direction: str, zero) -> dict:
+    def step(layer: dict, rise: bool, zero) -> dict:
         after: dict = {}
         for shape, value in layer.items():
             for r in range(rows):
-                if direction == RIGHT:
+                if rise:
                     # a box ends row 0 or a row shorter than the row above
                     if r and shape[r] == shape[r - 1]:
                         continue
@@ -213,8 +214,10 @@ def _shape_walks(board: Board, pattern: Pattern) -> int:
                 after[moved] = after.get(moved, zero) + value
         return after
 
+    xs, _ = _border_xy(board.heights)
+    rises = [a < b for a, b in zip(xs, xs[1:])]
     empty = (0,) * rows
-    return _walk(pattern, "shapes", empty, board.border_path.steps, step).get(empty, 0)
+    return _walk(pattern, "shapes", empty, rises, step).get(empty, 0)
 
 
 def rook_placements(board: Board) -> Iterator[Placement]:
@@ -282,56 +285,38 @@ def _border_rules(board: Board) -> list[tuple[bool, int, int | None, bool]]:
     cap, left end, opens): whether the step into i is rightward, the cap on
     the value at i, the left end k of the kept diagonal pair (k, i) (None if
     no kept pair ends at i), and whether a kept pair starts at i.  The cap is
-    the profile value, or the y of i's vertex if less: y is the number of
-    downward steps left, so a larger value never gets back to 0.  (On a board
-    with a full placement the profile never exceeds y.)
+    the marker-count profile value x + y - n_rows at i's vertex (x, y), or y
+    if less: y is the number of downward steps left, so a larger value never
+    gets back to 0.  (On a board with a full placement the profile never
+    exceeds y.)  All of it is read off the border coordinates in one pass.
 
     Of the in-board diagonal pairs only (k, j), j the first border vertex down
-    k's diagonal, are kept; the others on that diagonal chain through kept
-    ones, so they follow by transitivity.  A diagonal meets the border only at
-    vertices, and its stretch between two consecutive ones lies wholly on or
-    off the board, so each vertex pairs with the previous border vertex on its
-    diagonal x + y when the diagonal leaves that one into the board.  Kept
-    pairs never cross: a diagonal entering the region between another kept
-    pair's diagonal and the border can leave it only through the border.
+    k's diagonal x + y, are kept; the others on that diagonal chain through
+    kept ones, so they follow by transitivity.  A diagonal meets the border
+    only at vertices, and its stretch between two consecutive ones lies
+    wholly on or off the board, so each vertex pairs with the previous border
+    vertex on its diagonal when the diagonal leaves that one into the board,
+    which it does exactly when the border leaves it rightward.  Kept pairs
+    never cross: a diagonal entering the region between another kept pair's
+    diagonal and the border can leave it only through the border.
     """
-    path = board.border_path
-    profile = board.marker_count_profile
-    heights = board.heights
-    left_ends: list[int | None] = [None] * len(profile)
-    opens = [False] * len(profile)
-    last_on: dict[int, int] = {}  # the last border index seen on each diagonal x + y
-    for i, (x, y) in enumerate(path.vertices):
+    xs, ys = _border_xy(board.heights)
+    top = ys[0]
+    rises, caps, left_ends = [False], [0], [None]
+    opens = [False] * len(xs)
+    last_on = {top: 0}  # the last border index seen on each diagonal x + y
+    for i in range(1, len(xs)):
+        x, y = xs[i], ys[i]
         k = last_on.get(x + y)
-        if k is not None:
-            kx, ky = path.vertices[k]
-            if kx < board.n_cols and 1 <= ky <= heights[kx]:
-                left_ends[i] = k
-                opens[k] = True
-        last_on[x + y] = i
-    rises = [False] + [step == RIGHT for step in path.steps]
-    caps = [p if p < y else y for p, (_, y) in zip(profile, path.vertices)]
-    return list(zip(rises, caps, left_ends, opens))
-
-
-def _allowed(rise: bool, cap: int, prev: int, left: int | None, diagonal_le: bool) -> range:
-    """Values the 231- (``diagonal_le``) or 312-conditions allow at a border
-    index, given its rise and cap, the value ``prev`` before it and the value
-    ``left`` at the left end of the kept diagonal pair it closes (None if
-    none): ``prev`` plus 0 or 1 after a rightward step, minus 0 or 1 after a
-    downward one; within [0, cap]; not a second zero in a row; and at least
-    (231) or at most (312) ``left``."""
-    low, high = (prev, prev + 1) if rise else (prev - 1, prev)
-    if not prev:
-        low = 1
-    if high > cap:
-        high = cap
-    if left is not None:
-        if diagonal_le:
-            low = max(low, left)
+        if k is not None and xs[k + 1] > xs[k]:
+            opens[k] = True
         else:
-            high = min(high, left)
-    return range(low, high + 1)
+            k = None
+        last_on[x + y] = i
+        rises.append(x > xs[i - 1])
+        caps.append(y if x >= top else x + y - top)
+        left_ends.append(k)
+    return list(zip(rises, caps, left_ends, opens))
 
 
 _END = (0, ())  # the state at the last index: value 0, no value owed a comparison
@@ -344,21 +329,33 @@ def _sequence_walks(board: Board, pattern: Pattern,
 
     Kept diagonal pairs nest like brackets (``_border_rules``), so the values
     still owed a diagonal comparison form a stack, and a state is the value
-    at the current index with that stack.  Each step takes the values
-    ``_allowed`` gives, pops the left end's value at an index that closes a
-    pair and pushes the new value at one that opens a pair.  The sequences
-    are the walks ending in ``_END``.
+    at the current index with that stack.  Each step pops the left end's
+    value at an index that closes a pair, takes the values the conditions
+    allow and pushes the new value at one that opens a pair.  The allowed
+    values are the previous value plus 0 or 1 after a rightward step, minus
+    0 or 1 after a downward one; within [0, cap]; not a second zero in a
+    row; and at least (231) or at most (312) the popped value.  The
+    sequences are the walks ending in ``_END``.
     """
     diagonal_le = _side(pattern).diagonal_le
 
     def step(layer: dict, rule: tuple[bool, int, int | None, bool], zero) -> dict:
         rise, cap, left_end, opens = rule
+        fall = not rise
         after: dict = {}
         for (prev, stack), value in layer.items():
-            left = None
+            low = prev - fall if prev else 1
+            high = prev + rise
+            if high > cap:
+                high = cap
             if left_end is not None:
                 left, stack = stack[-1], stack[:-1]
-            for v in _allowed(rise, cap, prev, left, diagonal_le):
+                if diagonal_le:
+                    if low < left:
+                        low = left
+                elif high > left:
+                    high = left
+            for v in range(low, high + 1):
                 state = (v, stack + (v,)) if opens else (v, stack)
                 after[state] = after.get(state, zero) + value
         return after

@@ -9,8 +9,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from rookbij.bijection import _side
-from rookbij.board import Board, Vertex
-from rookbij.enumeration import _allowed, _border_rules
+from rookbij.board import DOWN, RIGHT, Board, BorderPath, Vertex
 from rookbij.errors import InvalidPlacement, ReconstructionFailure
 from rookbij.placement import (
     PATTERN_231,
@@ -185,6 +184,77 @@ def conjugate_by_rows(board: Board) -> Board:
                        for y in range(1, board.n_rows + 1)))
 
 
+def border_path_by_steps(board: Board) -> BorderPath:
+    """The border path walked one step at a time from the top-left corner:
+    right along a column's top, down otherwise, until (n_cols, 0)."""
+    x, y = 0, board.n_rows
+    vertices = [Vertex(x, y)]
+    steps = []
+    while (x, y) != (board.n_cols, 0):
+        if x < board.n_cols and board.heights[x] == y:
+            x += 1
+            steps.append(RIGHT)
+        else:
+            y -= 1
+            steps.append(DOWN)
+        vertices.append(Vertex(x, y))
+    return BorderPath(tuple(vertices), tuple(steps))
+
+
+def profile_by_steps(board: Board) -> tuple[int, ...]:
+    """The marker-count profile summed along ``border_path_by_steps``: 0 at
+    the top-left corner, +1 per rightward step, -1 per downward step."""
+    values = [0]
+    for step in border_path_by_steps(board).steps:
+        values.append(values[-1] + (1 if step == RIGHT else -1))
+    return tuple(values)
+
+
+def border_rules_by_path(board: Board) -> list[tuple[bool, int, int | None, bool]]:
+    """The (rise, cap, left end, opens) of every border index, read off the
+    vertices of ``border_path_by_steps``: a vertex pairs with the previous
+    border vertex on its diagonal x + y when the square right of and below
+    that vertex is on the board, and the cap is the profile value, or the
+    vertex's y if less."""
+    path = border_path_by_steps(board)
+    profile = profile_by_steps(board)
+    heights = board.heights
+    left_ends: list[int | None] = [None] * len(profile)
+    opens = [False] * len(profile)
+    last_on: dict[int, int] = {}  # the last border index seen on each diagonal x + y
+    for i, (x, y) in enumerate(path.vertices):
+        k = last_on.get(x + y)
+        if k is not None:
+            kx, ky = path.vertices[k]
+            if kx < board.n_cols and 1 <= ky <= heights[kx]:
+                left_ends[i] = k
+                opens[k] = True
+        last_on[x + y] = i
+    rises = [False] + [step == RIGHT for step in path.steps]
+    caps = [p if p < y else y for p, (_, y) in zip(profile, path.vertices)]
+    return list(zip(rises, caps, left_ends, opens))
+
+
+def _allowed(rise: bool, cap: int, prev: int, left: int | None, diagonal_le: bool) -> range:
+    """Values the 231- (``diagonal_le``) or 312-conditions allow at a border
+    index, given its rise and cap, the value ``prev`` before it and the value
+    ``left`` at the left end of the kept diagonal pair it closes (None if
+    none): ``prev`` plus 0 or 1 after a rightward step, minus 0 or 1 after a
+    downward one; within [0, cap]; not a second zero in a row; and at least
+    (231) or at most (312) ``left``."""
+    low, high = (prev, prev + 1) if rise else (prev - 1, prev)
+    if not prev:
+        low = 1
+    if high > cap:
+        high = cap
+    if left is not None:
+        if diagonal_le:
+            low = max(low, left)
+        else:
+            high = min(high, left)
+    return range(low, high + 1)
+
+
 def border_sequences_by_search(board: Board, pattern: Pattern):
     """Border sequences within the marker-count profile that meet the 231- or
     312-conditions, lexicographically, by a depth-first search along the
@@ -192,10 +262,10 @@ def border_sequences_by_search(board: Board, pattern: Pattern):
     0..i-1 under the profile, dead ends included; a sequence is kept when its
     last value is 0."""
     diagonal_le = _side(pattern).diagonal_le
-    profile = board.marker_count_profile
+    profile = profile_by_steps(board)
     if min(profile) < 0:  # no value fits below a negative cap
         return
-    rules = _border_rules(board)
+    rules = border_rules_by_path(board)
     last = len(rules) - 1
     values = [0] * len(rules)
 

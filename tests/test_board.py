@@ -1,4 +1,7 @@
+import gc
+import pickle
 import re
+import weakref
 
 import pytest
 from hypothesis import given
@@ -115,6 +118,37 @@ def test_conjugate_matches_row_count_within_7():
     for board in boards_within(7):
         assert board.conjugate() == conjugate_by_rows(board), board
         assert board.conjugate().conjugate() is board
+
+
+def test_conjugate_links_back_weakly():
+    # with the cyclic collector off, dropping a board frees it and its conjugate
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        board = Board((3, 3, 3))
+        conj = board.conjugate()
+        assert conj.conjugate() is board
+        refs = weakref.ref(board), weakref.ref(conj)
+        del board, conj
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_conjugate_outliving_its_board_builds_it_again():
+    conj = Board((3, 2)).conjugate()
+    board = conj.conjugate()
+    assert board.heights == (3, 2)
+    assert conj.conjugate() is board and board.conjugate() is conj
+
+
+def test_boards_pickle_as_their_heights():
+    board = Board((3, 2))
+    conj = board.conjugate()
+    for b in (board, conj):
+        copy = pickle.loads(pickle.dumps(b))
+        assert copy == b and copy.__dict__ == {"heights": b.heights}
 
 
 @given(boards())

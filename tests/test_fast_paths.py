@@ -36,12 +36,15 @@ from rookbij.placement import (
     s_sequence,
 )
 from oracles import (
+    border_path_by_steps,
+    border_rules_by_path,
     border_sequences_by_search,
     border_values,
     count_avoiders_by_filter,
     diagonal_pairs_by_scan,
     full_placements_by_backtracking,
     pattern_witness_by_scan,
+    profile_by_steps,
     rebuild_by_slicing,
     rook_placements_by_recursion,
 )
@@ -102,6 +105,17 @@ def test_sequence_count_matches_filter_within_6(pattern):
     for board in boards:
         assert count_avoiders(board, pattern) == count_avoiders_by_filter(board, pattern), board
     assert count_avoiders(Board((8,) * 8), pattern) == 1430
+
+
+def test_border_geometry_matches_step_walk_within_8():
+    # every board, also those with no full placement and a negative profile
+    boards = list(boards_within(8))
+    assert len(boards) == 12869
+    assert sum(not b.admits_full_placement() for b in boards) == 10814
+    for board in boards:
+        assert board.border_path == border_path_by_steps(board), board
+        assert board.marker_count_profile == profile_by_steps(board), board
+        assert _border_rules(board) == border_rules_by_path(board), board
 
 
 def test_kept_diagonal_pairs_nest_and_imply_every_pair_within_8():
