@@ -169,17 +169,23 @@ def _raw_rebuild(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPl
     return result
 
 
+def _sequence(board: Board, placement: FullPlacement) -> tuple[int, ...]:
+    """The placement's border sequence: the board's memo, filled on a miss.
+    ``_rebuild`` reads the memo too, and stores only past its self-check."""
+    seq = board._sequences.get(placement)
+    if seq is None:
+        seq = board._sequences[placement] = _s_sequence(board, placement)
+    return seq
+
+
 def _map_full(board: Board, placement: FullPlacement, avoided: Pattern) -> FullPlacement:
     # The board keeps each image, a pure function of the board and the
     # placement, and the border sequence of each placement read or produced.
     key = (avoided, placement)
     image = board._images.get(key)
     if image is None:
-        seq = board._sequences.get(placement)
-        if seq is None:
-            seq = board._sequences[placement] = _s_sequence(board, placement)
-        image = board._images[key] = _rebuild(board, plus_transform(board, seq),
-                                              _side(avoided).image)
+        image = board._images[key] = _rebuild(
+            board, plus_transform(board, _sequence(board, placement)), _side(avoided).image)
     return image
 
 

@@ -61,6 +61,46 @@ def _border_xy(heights: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return xs, ys
 
 
+def _border_rules(board: Board) -> list[tuple[bool, int, int | None, bool]]:
+    """The 231/312 conditions at each border index i, as the tuple (rise,
+    cap, left end, opens): whether the step into i is rightward, the cap on
+    the value at i, the left end k of the kept diagonal pair (k, i) (None if
+    no kept pair ends at i), and whether a kept pair starts at i.  The cap is
+    the marker-count profile value x + y - n_rows at i's vertex (x, y), or y
+    if less: y is the number of downward steps left, so a larger value never
+    gets back to 0.  (On a board with a full placement the profile never
+    exceeds y.)  All of it is read off the border coordinates in one pass.
+
+    Of the in-board diagonal pairs only (k, j), j the first border vertex down
+    k's diagonal x + y, are kept; the others on that diagonal chain through
+    kept ones, so they follow by transitivity.  A diagonal meets the border
+    only at vertices, and its stretch between two consecutive ones lies
+    wholly on or off the board, so each vertex pairs with the previous border
+    vertex on its diagonal when the diagonal leaves that one into the board,
+    which it does exactly when the border leaves it rightward.  Kept pairs
+    never cross: a diagonal entering the region between another kept pair's
+    diagonal and the border can leave it only through the border.  Only here
+    are diagonals found: ``Board.diagonal_pairs`` follows the kept pairs' chains.
+    """
+    xs, ys = _border_xy(board.heights)
+    top = ys[0]
+    rises, caps, left_ends = [False], [0], [None]
+    opens = [False] * len(xs)
+    last_on = {top: 0}  # the last border index seen on each diagonal x + y
+    for i in range(1, len(xs)):
+        x, y = xs[i], ys[i]
+        k = last_on.get(x + y)
+        if k is not None and xs[k + 1] > xs[k]:
+            opens[k] = True
+        else:
+            k = None
+        last_on[x + y] = i
+        rises.append(x > xs[i - 1])
+        caps.append(y if x >= top else x + y - top)
+        left_ends.append(k)
+    return list(zip(rises, caps, left_ends, opens))
+
+
 @dataclass(frozen=True)
 class Board:
     """A Ferrers board given by weakly decreasing, positive column heights."""
@@ -142,8 +182,8 @@ class Board:
 
     # Results of pure functions of this board, filled in by ``bijection``:
     # its compacted boards by heights, its map images by (avoided pattern,
-    # placement), and the border sequences of the placements the maps read
-    # and produce.  They live and die with the board, so no value is shared
+    # placement), and the border sequences of the placements the maps and the
+    # sweeps read and produce.  They live and die with the board, so no value is shared
     # between boards, and a race between threads only recomputes one.
     @cached_property
     def _compact_boards(self) -> dict[tuple[int, ...], Board]:
@@ -163,20 +203,16 @@ class Board:
 
         The open slope -1 segment from vertices[i] to vertices[j] must cross
         only squares of the board; endpoints may touch the border.  Includes
-        non-maximal diagonals.
+        non-maximal diagonals.  The pairs of i, by increasing j, are the links
+        of the chain of kept pairs from i (``_border_rules``).
         """
-        verts = self.border_path.vertices
-        index = {v: i for i, v in enumerate(verts)}
-        heights = self.heights
+        next_on = {k: j for j, (_, _, k, _) in enumerate(_border_rules(self)) if k is not None}
         pairs = []
-        for i, (x, y) in enumerate(verts):
-            # Step down the diagonal while the square crossed is on the board.
-            while x < self.n_cols and 1 <= y <= heights[x]:
-                x += 1
-                y -= 1
-                j = index.get((x, y))
-                if j is not None:
-                    pairs.append((i, j))
+        for i in sorted(next_on):
+            j = next_on[i]
+            while j is not None:
+                pairs.append((i, j))
+                j = next_on.get(j)
         return tuple(pairs)
 
     def admits_full_placement(self) -> bool:

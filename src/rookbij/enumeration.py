@@ -14,8 +14,8 @@ from math import prod
 from time import perf_counter
 from typing import Iterable, Iterator
 
-from .bijection import _map_full, _map_general, _rebuild, _side, plus_transform
-from .board import RIGHT, Board, _border_xy
+from .bijection import _map_full, _map_general, _rebuild, _sequence, _side, plus_transform
+from .board import RIGHT, Board, _border_rules, _border_xy
 from .conditions import format_sequence
 from .errors import ParseError, RookbijError
 from .placement import (
@@ -26,7 +26,6 @@ from .placement import (
     Placement,
     _by_column,
     _pattern_witness,
-    _s_sequence,
     avoids,
     format_placement,
 )
@@ -280,45 +279,6 @@ def boards_within(n: int, square_bounded_only: bool = False,
             yield board
 
 
-def _border_rules(board: Board) -> list[tuple[bool, int, int | None, bool]]:
-    """The 231/312 conditions at each border index i, as the tuple (rise,
-    cap, left end, opens): whether the step into i is rightward, the cap on
-    the value at i, the left end k of the kept diagonal pair (k, i) (None if
-    no kept pair ends at i), and whether a kept pair starts at i.  The cap is
-    the marker-count profile value x + y - n_rows at i's vertex (x, y), or y
-    if less: y is the number of downward steps left, so a larger value never
-    gets back to 0.  (On a board with a full placement the profile never
-    exceeds y.)  All of it is read off the border coordinates in one pass.
-
-    Of the in-board diagonal pairs only (k, j), j the first border vertex down
-    k's diagonal x + y, are kept; the others on that diagonal chain through
-    kept ones, so they follow by transitivity.  A diagonal meets the border
-    only at vertices, and its stretch between two consecutive ones lies
-    wholly on or off the board, so each vertex pairs with the previous border
-    vertex on its diagonal when the diagonal leaves that one into the board,
-    which it does exactly when the border leaves it rightward.  Kept pairs
-    never cross: a diagonal entering the region between another kept pair's
-    diagonal and the border can leave it only through the border.
-    """
-    xs, ys = _border_xy(board.heights)
-    top = ys[0]
-    rises, caps, left_ends = [False], [0], [None]
-    opens = [False] * len(xs)
-    last_on = {top: 0}  # the last border index seen on each diagonal x + y
-    for i in range(1, len(xs)):
-        x, y = xs[i], ys[i]
-        k = last_on.get(x + y)
-        if k is not None and xs[k + 1] > xs[k]:
-            opens[k] = True
-        else:
-            k = None
-        last_on[x + y] = i
-        rises.append(x > xs[i - 1])
-        caps.append(y if x >= top else x + y - top)
-        left_ends.append(k)
-    return list(zip(rises, caps, left_ends, opens))
-
-
 _END = (0, ())  # the state at the last index: value 0, no value owed a comparison
 
 
@@ -450,17 +410,17 @@ def _check_l1(board: Board) -> list[Failure]:
     return failures
 
 
-def _avoiders(board: Board, placements: Iterable[FullPlacement]
-              ) -> dict[Pattern, list[FullPlacement]]:
+def _avoiders(board: Board, placements: Iterable) -> dict[Pattern, list]:
     # The sweeps generate the placements on the board, so the search runs
     # unchecked, on markers listed once for both patterns.
-    out: dict[Pattern, list[FullPlacement]] = {PATTERN_231: [], PATTERN_312: []}
+    a231, a312 = [], []
     for p in placements:
         markers = _by_column(p)
-        for pattern in (PATTERN_231, PATTERN_312):
-            if _pattern_witness(board, markers, pattern) is None:
-                out[pattern].append(p)
-    return out
+        if _pattern_witness(board, markers, PATTERN_231) is None:
+            a231.append(p)
+        if _pattern_witness(board, markers, PATTERN_312) is None:
+            a312.append(p)
+    return {PATTERN_231: a231, PATTERN_312: a312}
 
 
 def _check_t1(board: Board) -> list[Failure]:
@@ -470,8 +430,7 @@ def _check_t1(board: Board) -> list[Failure]:
     for pattern, avoiders in _avoiders(board, full_placements(board)).items():
         seen: dict[tuple[int, ...], FullPlacement] = {}
         for p in avoiders:
-            # kept on the board, where the reconstruction's self-check reads it
-            seq = board._sequences[p] = board._sequences.get(p) or _s_sequence(board, p)
+            seq = _sequence(board, p)  # kept, so the reconstruction's self-check reads it
             if seq in seen:
                 failures.append(Failure(
                     board, "t1",
@@ -500,9 +459,8 @@ def _check_t2(board: Board) -> list[Failure]:
     if not board.square_bounded():
         return []
     failures = []
-    avoiders = _avoiders(board, full_placements(board))
-    for pattern in (PATTERN_231, PATTERN_312):
-        realized = {_s_sequence(board, p) for p in avoiders[pattern]}
+    for pattern, avoiders in _avoiders(board, full_placements(board)).items():
+        realized = {_sequence(board, p) for p in avoiders}
         accepted = set(valid_sequences(board, pattern))
         for seq in sorted(realized - accepted):
             failures.append(Failure(
@@ -550,15 +508,15 @@ def _check_bijection(board: Board, tag: str, sources, targets, core, forward,
 
 def _check_t4(board: Board) -> list[Failure]:
     # alpha and beta are mutually inverse bijections between the avoider sets,
-    # and plus_transform is an involution on realized sequences.
+    # and plus_transform is an involution on realized sequences.  One pass
+    # suffices: if beta(alpha(p)) = p for every 231-avoider p and alpha's
+    # images are the 312-avoiders, a pass beta then alpha cannot fail.
     placements = list(full_placements(board))
-    avoiders = _avoiders(board, placements)
-    a231, a312 = avoiders[PATTERN_231], avoiders[PATTERN_312]
-    alpha, beta = ("alpha", PATTERN_231), ("beta", PATTERN_312)
-    failures = (_check_bijection(board, "t4", a231, a312, _map_full, alpha, beta)
-                + _check_bijection(board, "t4", a312, a231, _map_full, beta, alpha))
+    a231, a312 = _avoiders(board, placements).values()
+    failures = _check_bijection(board, "t4", a231, a312, _map_full,
+                                ("alpha", PATTERN_231), ("beta", PATTERN_312))
     for p in placements:
-        seq = board._sequences.get(p) or _s_sequence(board, p)  # the maps kept most
+        seq = _sequence(board, p)
         if plus_transform(board, plus_transform(board, seq)) != seq:
             failures.append(Failure(
                 board, "t4", f"plus_transform not involutive on {format_sequence(seq)}"))
@@ -568,20 +526,15 @@ def _check_t4(board: Board) -> list[Failure]:
 def _check_remark(board: Board) -> list[Failure]:
     # Partial placements: 231- and 312-avoider counts agree, and
     # alpha_general/beta_general are inverse bijections on every compaction
-    # class, the placements occupying the same columns and rows.  As in
-    # ``_avoiders``, the search runs unchecked on the generated placements.
+    # class, the placements occupying the same columns and rows.
+    a231, a312 = _avoiders(board, rook_placements(board)).values()
     classes: dict[tuple, tuple[list[Placement], list[Placement]]] = {}
-    for p in rook_placements(board):
-        markers = _by_column(p)
-        occupied = tuple(c for c, _ in markers), tuple(sorted(r for _, r in markers))
-        avoiders_231, avoiders_312 = classes.setdefault(occupied, ([], []))
-        if _pattern_witness(board, markers, PATTERN_231) is None:
-            avoiders_231.append(p)
-        if _pattern_witness(board, markers, PATTERN_312) is None:
-            avoiders_312.append(p)
+    for side, avoiders in enumerate((a231, a312)):
+        for p in avoiders:
+            occupied = frozenset(c for c, _ in p.markers), frozenset(r for _, r in p.markers)
+            classes.setdefault(occupied, ([], []))[side].append(p)
     failures = []
-    n_231 = sum(len(a) for a, _ in classes.values())
-    n_312 = sum(len(a) for _, a in classes.values())
+    n_231, n_312 = len(a231), len(a312)
     if n_231 != n_312:
         failures.append(Failure(
             board, "remark", f"{n_231} placements avoid 231 but {n_312} avoid 312"))

@@ -147,12 +147,26 @@ def test_valid_sequences_match_avoiders():
 
 def test_sweep_avoiders_match_public_avoids_within_5():
     # The sweeps search their own placements unchecked; the lists, in order,
-    # are those of the public check.
-    for board in boards_within(5):
-        found = enumeration._avoiders(board, full_placements(board))
+    # are those of the public check: the full placements within 5x5, as the
+    # t-sweeps split them, and every rook placement within 4x4, as remark does.
+    cases = [(board, full_placements) for board in boards_within(5)]
+    cases += [(board, rook_placements) for board in boards_within(4)]
+    for board, placements in cases:
+        found = enumeration._avoiders(board, placements(board))
         for pattern in (PATTERN_231, PATTERN_312):
             assert found[pattern] == \
-                [p for p in full_placements(board) if avoids(board, p, pattern)], board
+                [p for p in placements(board) if avoids(board, p, pattern)], board
+
+
+@pytest.mark.parametrize("tag", ["t1", "t2", "t4"])
+def test_t_sweeps_keep_only_true_sequences_within_4(tag):
+    # The sweeps and the maps share one memo of border sequences on the
+    # board; each sweep, on a fresh board, leaves only right entries there.
+    for board in boards_within(4, square_bounded_only=True):
+        assert check_board(board, tag) == []
+        assert bool(board._sequences) == board.admits_full_placement(), board
+        for p, seq in board._sequences.items():
+            assert seq == s_sequence(board, p), (board, p)
 
 
 def test_lis_oracle_direct():
