@@ -574,6 +574,9 @@ def check_board(board: Board, theorem: str) -> list[Failure]:
 
 
 def _board_failures(board: Board, tags: tuple[str, ...]) -> list[Failure]:
+    # A fresh copy of the board keeps what the checks cache on it, so the
+    # caches go when its checks end, not when the sweep does.
+    board = Board(board.heights)
     out: list[Failure] = []
     for tag in tags:
         out.extend(check_board(board, tag))

@@ -289,14 +289,15 @@ def test_malformed_inputs_exit_2(capsys):
         2, "", "error: sequence values must be nonnegative\n")
 
 
-def _limited_cli(*argv):
+def _limited_cli(*argv, timeout=20):
     """Run the CLI in a child process capped at 1 GiB of address space and
-    20 seconds, so a command that is not refused fails instead of hanging."""
+    ``timeout`` seconds, so a command that is not refused fails instead of
+    hanging."""
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
     return subprocess.run([sys.executable, "-m", "rookbij.cli", *argv], capture_output=True,
-                          text=True, timeout=20, preexec_fn=cap_memory, env=_child_env())
+                          text=True, timeout=timeout, preexec_fn=cap_memory, env=_child_env())
 
 
 @pytest.mark.parametrize("max_n", ["10", "30", "9" * 50])
@@ -351,6 +352,27 @@ def test_count_filters_the_one_placement_of_a_wide_staircase():
     staircase = ",".join(str(h) for h in range(1000, 0, -1))
     done = _limited_cli("count", "--board", staircase, "--pattern", "2413")
     assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+
+
+def test_map_finds_a_late_231_on_the_1000_square_in_seconds():
+    # The identity with its only 231 in the last three columns.  A search over
+    # marker triples takes about 14 s to reach it; the first-marker scan is
+    # quadratic.
+    square = ",".join(["1000"] * 1000)
+    markers = [f"{c}:{c}" for c in range(1, 998)] + ["998:999", "999:1000", "1000:998"]
+    done = _limited_cli("map", "--board", square, "--placement", ",".join(markers), "--alpha",
+                        timeout=5)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout == "placement contains 231 at markers (998,999),(999,1000),(1000,998)\n"
+
+
+def test_map_takes_the_identity_on_the_1000_square_in_seconds():
+    # an avoider: no witness, so the whole scan runs, and alpha reverses it
+    square = ",".join(["1000"] * 1000)
+    identity = ",".join(f"{c}:{c}" for c in range(1, 1001))
+    done = _limited_cli("map", "--board", square, "--placement", identity, "--alpha", timeout=5)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ",".join(f"{c}:{1001 - c}" for c in range(1, 1001)) + "\n"
 
 
 def test_count_answers_every_monotone_pattern_on_9x9(capsys):

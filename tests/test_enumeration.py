@@ -1,4 +1,5 @@
 import concurrent.futures
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -205,6 +206,24 @@ def test_verify_parallel_matches_serial():
     assert serial.failures == parallel.failures
     assert serial.boards_checked == parallel.boards_checked
 
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_serial_verify_memory_follows_its_largest_board():
+    # What a check caches on a board goes with the board's check, so the
+    # sweep's peak stays near one board's, not the sum over the sweep
+    # (about 5.5x the largest board at this bound when every board kept it).
+    sweep = default_sweep("t4", 5)
+    largest = max(_peak_bytes(lambda board=board: check_board(Board(board.heights), "t4"))
+                  for board in sweep)
+    assert _peak_bytes(lambda: verify(sweep, "t4")) < 3 * largest
 
 
 @pytest.mark.parametrize("cpus,n_boards,expected", [

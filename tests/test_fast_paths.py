@@ -70,9 +70,21 @@ def test_pattern_witness_matches_scan_within_4(placements_within_4, pattern):
             pattern_witness_by_scan(board, p, pattern), (board, p)
 
 
+@pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
+def test_length_3_witness_matches_scan_within_5(pattern):
+    # the first-marker scan of 231 and 312 on every rook placement within 5x5
+    cases = 0
+    for board in boards_within(5):
+        for p in rook_placements(board):
+            cases += 1
+            assert pattern_witness(board, p, pattern) == \
+                pattern_witness_by_scan(board, p, pattern), (board, p)
+    assert cases == 45_296
+
+
 @st.composite
-def wide_rook_placements(draw):
-    heights = draw(st.lists(st.integers(1, 24), min_size=10, max_size=24))
+def wide_rook_placements(draw, max_cols: int = 24):
+    heights = draw(st.lists(st.integers(1, max_cols), min_size=10, max_size=max_cols))
     board = Board(tuple(sorted(heights, reverse=True)))
     markers = set()
     free_rows = set(range(1, board.n_rows + 1))
@@ -89,6 +101,29 @@ def wide_rook_placements(draw):
 def test_fast_paths_match_on_wide_boards(pair, pattern):
     board, p = pair
     assert s_sequence(board, p) == border_values(board, p)
+    assert pattern_witness(board, p, pattern) == pattern_witness_by_scan(board, p, pattern)
+
+
+@st.composite
+def near_decreasing_rook_placements(draw):
+    # Decreasing rows avoid 231 and 312.  A few swaps of two rows plant
+    # witnesses anywhere, late ones too, or none at all.
+    board, p = draw(wide_rook_placements(40))
+    cols = sorted(c for c, _ in p.markers)
+    # the i-th tallest occupied column is at least the i-th largest row tall
+    rows = sorted((r for _, r in p.markers), reverse=True)
+    if len(rows) > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+            if rows[i] <= board.heights[cols[j] - 1] and rows[j] <= board.heights[cols[i] - 1]:
+                rows[i], rows[j] = rows[j], rows[i]
+    return board, Placement(frozenset(zip(cols, rows)))
+
+
+@given(st.one_of(wide_rook_placements(40), near_decreasing_rook_placements()),
+       st.sampled_from([PATTERN_231, PATTERN_312]))
+def test_length_3_witness_matches_scan_on_boards_to_40_columns(pair, pattern):
+    board, p = pair
     assert pattern_witness(board, p, pattern) == pattern_witness_by_scan(board, p, pattern)
 
 
