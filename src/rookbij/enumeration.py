@@ -8,13 +8,23 @@ sweep reports are reproducible regardless of parallelism.
 from __future__ import annotations
 
 import os
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 from time import perf_counter
 from typing import Iterable, Iterator
 
-from .bijection import _map_full, _map_general, _rebuild, _sequence, _side, plus_transform
+from .bijection import (
+    CompactionContext,
+    _map_full,
+    _rebuild,
+    _sequence,
+    _side,
+    compact,
+    expand,
+    plus_transform,
+)
 from .board import RIGHT, Board, _border_rules, _border_xy
 from .conditions import format_sequence
 from .errors import ParseError, RookbijError
@@ -259,24 +269,27 @@ def boards_within(n: int, square_bounded_only: bool = False,
     """All Ferrers boards fitting in an n-by-n box, by column count then heights."""
     if n < 1:
         raise ValueError("n must be at least 1")
-
-    def heights_of(length: int, cap: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for h in range(1, cap + 1):
-            prefix.append(h)
-            yield from heights_of(length, h, prefix)
-            prefix.pop()
-
     for n_cols in range(1, n + 1):
-        for heights in heights_of(n_cols, n, []):
+        for heights in _heights_of(n_cols, n, []):
             board = Board(heights)
             if square_bounded_only and not board.square_bounded():
                 continue
             if full_only and not board.admits_full_placement():
                 continue
             yield board
+
+
+def _heights_of(length: int, cap: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
+    # The weakly decreasing completions of ``prefix`` to ``length`` heights
+    # of at most ``cap``, lexicographically.  A module function, not a
+    # closure calling itself, so a sweep leaves no reference cycle behind.
+    if len(prefix) == length:
+        yield tuple(prefix)
+        return
+    for h in range(1, cap + 1):
+        prefix.append(h)
+        yield from _heights_of(length, h, prefix)
+        prefix.pop()
 
 
 _END = (0, ())  # the state at the last index: value 0, no value owed a comparison
@@ -410,12 +423,20 @@ def _check_l1(board: Board) -> list[Failure]:
     return failures
 
 
-def _avoiders(board: Board, placements: Iterable) -> dict[Pattern, list]:
+def _avoiders(board: Board, placements: Iterable,
+              context: CompactionContext | None = None) -> dict[Pattern, list]:
     # The sweeps generate the placements on the board, so the search runs
-    # unchecked, on markers listed once for both patterns.
+    # unchecked, on markers listed once for both patterns.  With a
+    # compaction class, the placements are full placements of its compact
+    # board, each tested expanded onto the board.
+    if context is not None:  # lift[r]: the board row of compact row r
+        cols, lift = context.occupied_cols, (0,) + context.occupied_rows
     a231, a312 = [], []
     for p in placements:
-        markers = _by_column(p)
+        if context is None:
+            markers = _by_column(p)
+        else:
+            markers = tuple(zip(cols, [lift[r] for r in p.perm]))
         if _pattern_witness(board, markers, PATTERN_231) is None:
             a231.append(p)
         if _pattern_witness(board, markers, PATTERN_312) is None:
@@ -474,33 +495,44 @@ def _check_t2(board: Board) -> list[Failure]:
     return failures
 
 
-def _check_bijection(board: Board, tag: str, sources, targets, core, forward,
-                     backward) -> list[Failure]:
+def _check_bijection(board: Board, tag: str, sources, targets, forward, backward,
+                     context: CompactionContext | None = None) -> list[Failure]:
     # forward maps the sources onto the targets and backward undoes it.  Each
     # is a public map, given as its name, which failures show for a replay,
-    # and the pattern its inputs avoid, with which ``core`` runs it.  The
-    # images are compared with the targets as marker sets, so an image that
-    # contains the other pattern or leaves its compaction class is reported.
+    # and the pattern its inputs avoid, with which the core ``_map_full``
+    # runs it.  With a compaction class, the placements are full placements
+    # of its compact board: the maps run there, as the general maps do, and
+    # failures show each placement expanded onto the board.  The images are
+    # compared with the targets as placements, so an image that contains the
+    # other pattern or leaves its compaction class is reported.
     (f, f_pattern), (b, b_pattern) = forward, backward
+    if context is None:
+        on = board
+
+        def show(p) -> str:
+            return format_placement(p, board)
+    else:
+        cols, rows, on = context.occupied_cols, context.occupied_rows, context.compact_board
+
+        def show(p) -> str:
+            return format_placement(Placement(frozenset(
+                (cols[c - 1], rows[r - 1]) for c, r in p.markers)), board)
     failures = []
-    images: dict[frozenset, Placement | FullPlacement] = {}
+    images: dict[FullPlacement, None] = {}  # in the order mapped
     for p in sources:
         try:
-            q = core(board, p, f_pattern)
-            back = core(board, q, b_pattern)
+            q = _map_full(on, p, f_pattern)
+            back = _map_full(on, q, b_pattern)
         except RookbijError as exc:
-            failures.append(Failure(
-                board, tag, f"{f}/{b} failed on {format_placement(p, board)}: {exc}"))
+            failures.append(Failure(board, tag, f"{f}/{b} failed on {show(p)}: {exc}"))
             continue
-        images[q.markers] = q
-        if back.markers != p.markers:
-            failures.append(Failure(
-                board, tag,
-                f"{b}({f}({format_placement(p, board)})) = {format_placement(back, board)}"))
-    wanted = {q.markers: q for q in targets}
-    if images.keys() != wanted.keys():
-        stray = ",".join(format_placement(q, board) for m, q in images.items() if m not in wanted)
-        missed = ",".join(format_placement(q, board) for m, q in wanted.items() if m not in images)
+        images[q] = None
+        if back != p:
+            failures.append(Failure(board, tag, f"{b}({f}({show(p)})) = {show(back)}"))
+    wanted = set(targets)
+    if images.keys() != wanted:
+        stray = ",".join(show(q) for q in images if q not in wanted)
+        missed = ",".join(show(q) for q in targets if q not in images)
         failures.append(Failure(
             board, tag, f"{f} image has {{{stray}}} outside the targets and misses {{{missed}}}"))
     return failures
@@ -513,7 +545,7 @@ def _check_t4(board: Board) -> list[Failure]:
     # images are the 312-avoiders, a pass beta then alpha cannot fail.
     placements = list(full_placements(board))
     a231, a312 = _avoiders(board, placements).values()
-    failures = _check_bijection(board, "t4", a231, a312, _map_full,
+    failures = _check_bijection(board, "t4", a231, a312,
                                 ("alpha", PATTERN_231), ("beta", PATTERN_312))
     for p in placements:
         seq = _sequence(board, p)
@@ -523,25 +555,72 @@ def _check_t4(board: Board) -> list[Failure]:
     return failures
 
 
+def _compaction_classes(board: Board) -> Iterator[CompactionContext]:
+    """The compaction class of every nonempty rook placement, in (size,
+    columns, rows) order: each set of columns C and rows R, |C| = |R|, whose
+    compact board, C's columns each keeping the rows of R up to its height,
+    admits a full placement.  It does exactly when the i-th lowest row of R
+    is at most the i-th shortest column of C (Hall's condition), so R is
+    drawn from the rows up to C's tallest column.  As ``compact`` does, the
+    board keeps one compact board per heights, and the class of every
+    column and row compacts to the board itself."""
+    heights = board.heights
+    n_cols, n_rows = board.n_cols, board.n_rows
+    boards = board._compact_boards
+    for k in range(1, min(n_cols, n_rows) + 1):
+        for cols in combinations(range(1, n_cols + 1), k):
+            tall_first = [heights[c - 1] for c in cols]
+            short_first = tall_first[::-1]
+            for rows in combinations(range(1, tall_first[0] + 1), k):
+                if any(r > h for r, h in zip(rows, short_first)):
+                    continue
+                if k == n_cols == n_rows:
+                    compact_board = board
+                else:
+                    compact_heights = tuple(bisect_right(rows, h) for h in tall_first)
+                    compact_board = boards.get(compact_heights)
+                    if compact_board is None:
+                        compact_board = boards[compact_heights] = Board(compact_heights)
+                yield CompactionContext(cols, rows, compact_board)
+
+
 def _check_remark(board: Board) -> list[Failure]:
-    # Partial placements: 231- and 312-avoider counts agree, and
-    # alpha_general/beta_general are inverse bijections on every compaction
-    # class, the placements occupying the same columns and rows.
-    a231, a312 = _avoiders(board, rook_placements(board)).values()
-    classes: dict[tuple, tuple[list[Placement], list[Placement]]] = {}
-    for side, avoiders in enumerate((a231, a312)):
-        for p in avoiders:
-            occupied = frozenset(c for c, _ in p.markers), frozenset(r for _, r in p.markers)
-            classes.setdefault(occupied, ([], []))[side].append(p)
+    # Partial placements, one compaction class at a time: a class's
+    # placements are the full placements of its compact board, expanded
+    # through its columns and rows.  Each is tested for avoidance expanded
+    # onto the board, so the sweep checks that compaction preserves
+    # avoidance.  The 231- and 312-avoider counts agree, the empty placement
+    # counted once on each side, and alpha_general/beta_general, which map
+    # through the compact board, are inverse bijections on every class.  The
+    # public compact runs once per class, as a cross-check of the class's
+    # board and re-indexing.  The count line comes first, then each class's
+    # failures in (size, columns, rows) order.
+    n_231 = n_312 = 1  # the empty placement
     failures = []
-    n_231, n_312 = len(a231), len(a312)
-    if n_231 != n_312:
-        failures.append(Failure(
-            board, "remark", f"{n_231} placements avoid 231 but {n_312} avoid 312"))
-    for avoiders_231, avoiders_312 in classes.values():
+    placements: dict[tuple[int, ...], list[FullPlacement]] = {}  # per compact heights
+    for context in _compaction_classes(board):
+        heights = context.compact_board.heights
+        fulls = placements.get(heights)
+        if fulls is None:
+            fulls = placements[heights] = list(full_placements(context.compact_board))
+        first = expand(context, fulls[0])
+        try:
+            compacted = compact(board, first)
+        except RookbijError as exc:
+            compacted = exc
+        if compacted != (context, fulls[0]):
+            failures.append(Failure(
+                board, "remark", f"compact({format_placement(first, board)}) gave "
+                f"{compacted!r}, its class is {context!r}"))
+        a231, a312 = _avoiders(board, fulls, context).values()
+        n_231 += len(a231)
+        n_312 += len(a312)
         failures.extend(_check_bijection(
-            board, "remark", avoiders_231, avoiders_312, _map_general,
-            ("alpha_general", PATTERN_231), ("beta_general", PATTERN_312)))
+            board, "remark", a231, a312,
+            ("alpha_general", PATTERN_231), ("beta_general", PATTERN_312), context))
+    if n_231 != n_312:
+        failures.insert(0, Failure(
+            board, "remark", f"{n_231} placements avoid 231 but {n_312} avoid 312"))
     return failures
 
 

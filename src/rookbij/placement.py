@@ -131,52 +131,58 @@ def _pattern_witness(board: Board, markers: tuple[tuple[int, int], ...], pattern
     """``pattern_witness`` on the ``_by_column`` markers of a placement known
     to be on the board.
 
-    Depth-first over the markers in ``combinations`` order, so the witness is
-    the first such tuple.  A marker is taken only when its row keeps the
-    chosen rows order-isomorphic to the pattern prefix, and a scan stops at
-    the first column lower than the highest row chosen so far: later columns
-    are no taller, so no completion could have its bounding square on the
-    board.  On its own the search is cubic for a length-3 pattern when the
-    only witness is late or there is none.  For 231 and 312,
-    ``_first_marker`` finds the first marker of the first witness in
-    O(m^2), and the search, started from that marker, finishes the witness
-    in O(m^2).
+    For 231 and 312, ``_first_marker`` finds the first marker of the first
+    witness in O(m^2), and ``_search``, started from that marker, finishes
+    the witness in O(m^2); every other pattern runs ``_search`` alone.  The
+    search is a module function that takes its state as arguments, so a
+    call leaves no reference cycle for the garbage collector.
     """
     heights = board.heights
-    neighbours = pattern.neighbours
-    k = len(neighbours)
-    last = len(markers) - k  # the last start that leaves room for the whole pattern
-    roof = board.n_rows + 1
-    chosen: list[tuple[int, int]] = []
-
-    def search(start: int, top: int):
-        d = len(chosen)
-        if d == k:
-            return tuple(chosen)
-        below, above = neighbours[d]
-        lo = chosen[below][1] if below is not None else 0
-        hi = chosen[above][1] if above is not None else roof
-        for j in range(start, last + d + 1):
-            marker = markers[j]
-            col, row = marker
-            if heights[col - 1] < top:
-                break
-            if lo < row < hi:
-                chosen.append(marker)
-                found = search(j + 1, max(top, row))
-                if found is not None:
-                    return found
-                chosen.pop()
-        return None
-
     middle_above = _MIDDLE_ABOVE.get(pattern.word)
     if middle_above is None:
-        return search(0, 0)
+        return _search(heights, markers, pattern.neighbours, [], 0, 0)
     i = _first_marker(heights, markers, middle_above)
     if i is None:
         return None
-    chosen.append(markers[i])
-    return search(i + 1, markers[i][1])
+    first = markers[i]
+    return _search(heights, markers, pattern.neighbours, [first], i + 1, first[1])
+
+
+def _search(heights: tuple[int, ...], markers: tuple[tuple[int, int], ...],
+            neighbours: tuple[tuple[int | None, int | None], ...],
+            chosen: list[tuple[int, int]], start: int, top: int):
+    """The first completion of the markers ``chosen`` to a pattern witness
+    with its bounding square on the board, taking markers from index
+    ``start`` on, ``top`` the highest row chosen; None if there is none.
+
+    Depth-first over the markers in ``combinations`` order, so the witness is
+    the first such tuple.  A marker is taken only when its row keeps the
+    chosen rows order-isomorphic to the pattern prefix (``neighbours``), and
+    a scan stops at the first column lower than ``top``: later columns are
+    no taller, so no completion could have its bounding square on the board.
+    Cubic for a length-3 pattern when the only witness is late or there is
+    none.
+    """
+    d = len(chosen)
+    k = len(neighbours)
+    if d == k:
+        return tuple(chosen)
+    below, above = neighbours[d]
+    lo = chosen[below][1] if below is not None else 0
+    hi = chosen[above][1] if above is not None else heights[0] + 1
+    for j in range(start, len(markers) - k + d + 1):  # room left for the rest
+        marker = markers[j]
+        col, row = marker
+        if heights[col - 1] < top:
+            break
+        if lo < row < hi:
+            chosen.append(marker)
+            found = _search(heights, markers, neighbours, chosen, j + 1,
+                            row if row > top else top)
+            if found is not None:
+                return found
+            chosen.pop()
+    return None
 
 
 def _first_marker(heights: tuple[int, ...], markers: tuple[tuple[int, int], ...],

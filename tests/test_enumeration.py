@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import tracemalloc
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from rookbij import bijection, enumeration
+from rookbij.bijection import expand
 from rookbij.board import Board
 from rookbij.enumeration import (
     boards_within,
@@ -22,9 +24,11 @@ from rookbij.errors import ParseError, ReconstructionFailure
 from rookbij.placement import (
     PATTERN_231,
     PATTERN_312,
+    FullPlacement,
     Pattern,
     Placement,
     avoids,
+    pattern_witness,
     s_sequence,
 )
 from oracles import count_avoiders_by_filter, lis_in_rectangle
@@ -159,6 +163,54 @@ def test_sweep_avoiders_match_public_avoids_within_5():
                 [p for p in placements(board) if avoids(board, p, pattern)], board
 
 
+def test_compaction_classes_split_the_rook_placements_within_5():
+    # The remark sweep's classes, in (size, columns, rows) order, each
+    # expanded through its compact board's full placements, give every
+    # nonempty rook placement exactly once; and the avoiders among them,
+    # tested expanded onto the board, are as many as among the rook
+    # placements, the empty placement counted apart.
+    for board in boards_within(5):
+        keys, expanded = [], [frozenset()]
+        counts = [1, 1]
+        for context in enumeration._compaction_classes(board):
+            keys.append((len(context.occupied_cols), context.occupied_cols,
+                         context.occupied_rows))
+            fulls = list(full_placements(context.compact_board))
+            expanded += [expand(context, p).markers for p in fulls]
+            for side, avoiders in enumerate(
+                    enumeration._avoiders(board, fulls, context).values()):
+                counts[side] += len(avoiders)
+        assert keys == sorted(set(keys)), board
+        rooks = [p.markers for p in rook_placements(board)]
+        assert len(expanded) == len(set(expanded)) == len(rooks), board
+        assert set(expanded) == set(rooks), board
+        found = enumeration._avoiders(board, rook_placements(board))
+        assert counts == [len(found[PATTERN_231]), len(found[PATTERN_312])], board
+
+
+def test_sweeps_and_witness_search_leave_no_cyclic_garbage():
+    # Every check, board listing and witness search is freed by reference
+    # counting, so the cyclic collector finds nothing after them.
+    square = Board((3, 3, 3))
+    placements = list(full_placements(square))
+    patterns = [PATTERN_231, PATTERN_312, Pattern((1, 3, 2))]
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for board in boards_within(4):
+            for tag in enumeration.THEOREM_TAGS:
+                assert check_board(board, tag) == []
+        for pattern in patterns:
+            for i in range(1000):
+                pattern_witness(square, placements[i % len(placements)], pattern)
+        del board
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+
+
 @pytest.mark.parametrize("tag", ["t1", "t2", "t4"])
 def test_t_sweeps_keep_only_true_sequences_within_4(tag):
     # The sweeps and the maps share one memo of border sequences on the
@@ -208,6 +260,10 @@ def test_verify_parallel_matches_serial():
 
 
 def _peak_bytes(run) -> int:
+    # Freed tuples, lists and frames parked in the interpreter's free lists
+    # stay traced, so a longer run reads higher; a full collection empties
+    # the free lists, so every run starts from the same state.
+    gc.collect()
     tracemalloc.start()
     try:
         run()
@@ -219,7 +275,7 @@ def _peak_bytes(run) -> int:
 def test_serial_verify_memory_follows_its_largest_board():
     # What a check caches on a board goes with the board's check, so the
     # sweep's peak stays near one board's, not the sum over the sweep
-    # (about 5.5x the largest board at this bound when every board kept it).
+    # (about 10x the largest board at this bound when every board kept it).
     sweep = default_sweep("t4", 5)
     largest = max(_peak_bytes(lambda board=board: check_board(Board(board.heights), "t4"))
                   for board in sweep)
@@ -315,12 +371,14 @@ def test_increasing_and_decreasing_patterns_are_shape_wilf_within_6(increasing):
 
 
 # The private core each public map stands for in the sweeps, and the pattern
-# its inputs avoid; the core takes that pattern as its third argument.
+# its inputs avoid; the core takes that pattern as its third argument.  The
+# remark sweep runs the general maps' core, ``_map_full``, on the compact
+# board of each compaction class.
 _CORES = {
     "alpha": ("_map_full", PATTERN_231),
     "beta": ("_map_full", PATTERN_312),
-    "alpha_general": ("_map_general", PATTERN_231),
-    "beta_general": ("_map_general", PATTERN_312),
+    "alpha_general": ("_map_full", PATTERN_231),
+    "beta_general": ("_map_full", PATTERN_312),
 }
 # The pattern each public reconstruction passes to the core ``_rebuild``.
 _REBUILT = {"reconstruct_231": PATTERN_231, "reconstruct_312": PATTERN_312}
@@ -394,14 +452,43 @@ def test_check_board_reports_planted_reconstruction_faults(monkeypatch, heights,
 @pytest.mark.parametrize("name", ["alpha", "beta"])
 @pytest.mark.parametrize("mode", ["input", "raise"])
 def test_remark_reports_planted_full_map_faults(monkeypatch, heights, name, mode):
-    # The general maps call bijection._map_full on compacted boards, which
-    # keep their images; the fault sits above those images.
+    # The class sweep calls _map_full on each class's compact board, which
+    # keeps its images; the fault sits above those images.
     board = Board(heights)
     assert check_board(board, "remark") == []
     _, avoided = _CORES[name]
-    monkeypatch.setattr(bijection, "_map_full", _planted(bijection._map_full, mode, avoided))
+    monkeypatch.setattr(enumeration, "_map_full", _planted(enumeration._map_full, mode, avoided))
     failures = check_board(board, "remark")
     assert failures and all(f.theorem == "remark" for f in failures)
+
+
+def test_remark_failures_show_placements_on_the_board(monkeypatch):
+    # The class sweep maps on compact boards but prints each placement
+    # expanded onto the board it checks.  The fault sits in the first class
+    # whose alpha moves a placement: columns 1, 2 and rows 1, 2 of the 3x3
+    # square, whose compact board is the 2x2 square.
+    board = Board((3, 3, 3))
+    core, avoided = _CORES["alpha_general"]
+    monkeypatch.setattr(enumeration, core, _planted(getattr(enumeration, core), "input", avoided))
+    failures = check_board(board, "remark")
+    assert [(f.board, f.theorem, f.witness) for f in failures] == [
+        (board, "remark", "beta_general(alpha_general(1:1,2:2)) = 1:2,2:1"),
+        (board, "remark", "alpha_general image has {} outside the targets and misses {1:2,2:1}"),
+    ]
+
+
+def test_remark_reports_a_compact_that_disagrees_with_its_class(monkeypatch):
+    # compact runs once per class, on the class's first placement; here it
+    # re-indexes the 2x2 square's class of every column and row wrongly.
+    def wrong(board, placement):
+        context, full = bijection.compact(board, placement)
+        return context, FullPlacement(full.perm[::-1])
+
+    monkeypatch.setattr(enumeration, "compact", wrong)
+    board = Board((2, 2))
+    context = bijection.CompactionContext((1, 2), (1, 2), board)
+    assert [f.witness for f in check_board(board, "remark")] == [
+        f"compact(12) gave {(context, FullPlacement((2, 1)))!r}, its class is {context!r}"]
 
 
 @pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])
