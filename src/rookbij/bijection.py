@@ -179,14 +179,8 @@ def _sequence(board: Board, placement: FullPlacement) -> tuple[int, ...]:
 
 
 def _map_full(board: Board, placement: FullPlacement, avoided: Pattern) -> FullPlacement:
-    # The board keeps each image, a pure function of the board and the
-    # placement, and the border sequence of each placement read or produced.
-    key = (avoided, placement)
-    image = board._images.get(key)
-    if image is None:
-        image = board._images[key] = _rebuild(
-            board, plus_transform(board, _sequence(board, placement)), _side(avoided).image)
-    return image
+    return _rebuild(board, plus_transform(board, _sequence(board, placement)),
+                    _side(avoided).image)
 
 
 def alpha(board: Board, placement: FullPlacement) -> FullPlacement:
@@ -214,14 +208,26 @@ class CompactionContext:
     compact_board: Board | None
 
 
+def _compact_board(board: Board, cols: tuple[int, ...], rows: tuple[int, ...]) -> Board:
+    """The board that keeping only ``cols`` and ``rows`` compacts ``board``
+    to: each column keeps the rows of ``rows`` up to its height.  The board
+    keeps one compact board per heights, so the placements and classes that
+    compact alike share one; every column and row compacts to the board itself."""
+    if len(cols) == board.n_cols and len(rows) == board.n_rows:
+        return board  # nothing to delete
+    heights = tuple(bisect_right(rows, board.heights[c - 1]) for c in cols)
+    compact_board = board._compact_boards.get(heights)
+    if compact_board is None:
+        compact_board = board._compact_boards[heights] = Board(heights)
+    return compact_board
+
+
 def compact(board: Board, placement) -> tuple[CompactionContext, FullPlacement]:
     """Delete unoccupied rows and columns, sliding the rest down and left.
 
-    The surviving squares form a smaller Ferrers board on which the re-indexed
-    markers are a full placement.  Compaction preserves 231- and 312-avoidance
-    in both directions.  The board keeps one compact board per heights, so
-    placements of one board that compact alike share its map images; a
-    placement that occupies every column and row compacts to the board itself.
+    The surviving squares form a smaller Ferrers board (``_compact_board``)
+    on which the re-indexed markers are a full placement.  Compaction
+    preserves 231- and 312-avoidance in both directions.
     """
     placement.validate_on(board)
     markers = sorted(placement.markers)
@@ -229,14 +235,7 @@ def compact(board: Board, placement) -> tuple[CompactionContext, FullPlacement]:
         return CompactionContext((), (), None), FullPlacement(())
     cols = tuple(c for c, _ in markers)  # one marker per column, so already sorted
     rows = tuple(sorted(r for _, r in markers))
-    if len(cols) == board.n_cols and len(rows) == board.n_rows:
-        compact_board = board  # nothing to delete
-    else:
-        # a column keeps the occupied rows up to its height
-        heights = tuple(bisect_right(rows, board.heights[c - 1]) for c in cols)
-        compact_board = board._compact_boards.get(heights)
-        if compact_board is None:
-            compact_board = board._compact_boards[heights] = Board(heights)
+    compact_board = _compact_board(board, cols, rows)
     row_rank = {r: i for i, r in enumerate(rows, start=1)}
     full = FullPlacement(tuple(row_rank[r] for _, r in markers))
     full.validate_on(compact_board)
@@ -247,7 +246,7 @@ def expand(context: CompactionContext, placement: FullPlacement) -> Placement:
     """Undo ``compact``: re-index a full placement through the recorded rows/columns."""
     return Placement(frozenset(
         (context.occupied_cols[c - 1], context.occupied_rows[r - 1])
-        for c, r in enumerate(placement.perm, start=1)))
+        for c, r in placement.markers))
 
 
 def _map_general(board: Board, placement, avoided: Pattern) -> Placement:

@@ -181,16 +181,12 @@ class Board:
         return Board, (self.heights,)
 
     # Results of pure functions of this board, filled in by ``bijection``:
-    # its compacted boards by heights, its map images by (avoided pattern,
-    # placement), and the border sequences of the placements the maps and the
-    # sweeps read and produce.  They live and die with the board, so no value is shared
-    # between boards, and a race between threads only recomputes one.
+    # its compacted boards by heights, and the border sequences of the
+    # placements the maps and the sweeps read and produce.  They live and die
+    # with the board, so no value is shared between boards, and a race
+    # between threads only recomputes one.
     @cached_property
     def _compact_boards(self) -> dict[tuple[int, ...], Board]:
-        return {}
-
-    @cached_property
-    def _images(self) -> dict[tuple, object]:
         return {}
 
     @cached_property

@@ -10,16 +10,15 @@ import argparse
 import json
 import sys
 from functools import cache
-from math import comb
 from typing import Callable
 
 from .bijection import _side, compact
 from .board import Board, _int_field, parse_board
 from .conditions import format_sequence, parse_sequence
 from .enumeration import (
-    MAX_SWEEP_N,
     THEOREM_TAGS,
     SweepReport,
+    _require_sweep_bound,
     count_avoiders,
     default_sweep,
     verify,
@@ -154,11 +153,8 @@ def cmd_compact(args, board: Board) -> _Result:
 
 
 def cmd_verify(args, _board: None) -> _Result:
-    if args.max_n is not None and args.max_n < 1:
-        raise ParseError("--max-n must be at least 1")
-    if args.max_n is not None and args.max_n > MAX_SWEEP_N:
-        boards = comb(2 * MAX_SWEEP_N, MAX_SWEEP_N) - 1
-        raise ParseError(f"--max-n must be at most {MAX_SWEEP_N}, a sweep of {boards:,} boards")
+    if args.max_n is not None:
+        _require_sweep_bound(args.max_n)
     if args.parallel < 1:
         raise ParseError("--parallel must be at least 1")
     board = parse_board(args.board) if args.board is not None else None

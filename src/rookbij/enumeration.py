@@ -8,15 +8,16 @@ sweep reports are reproducible regardless of parallelism.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from time import perf_counter
 from typing import Iterable, Iterator
 
 from .bijection import (
     CompactionContext,
+    _compact_board,
     _map_full,
     _rebuild,
     _sequence,
@@ -45,7 +46,7 @@ THEOREM_TAGS = ("l1", "t1", "t2", "t4", "remark")
 # Sweep sizes chosen so a full run stays within a few seconds single-threaded.
 DEFAULT_BOUNDS = {"l1": 5, "t1": 5, "t2": 5, "t4": 5, "remark": 4}
 
-# Largest sweep bound the command line accepts: the C(18, 9) - 1 = 48,619
+# Largest sweep bound `default_sweep` accepts: the C(18, 9) - 1 = 48,619
 # boards within 9x9.  A sweep's board list has C(2n, n) - 1 entries, about
 # 10^17 at n = 30.
 MAX_SWEEP_N = 9
@@ -495,34 +496,29 @@ def _check_t2(board: Board) -> list[Failure]:
     return failures
 
 
-def _check_bijection(board: Board, tag: str, sources, targets, forward, backward,
+def _check_bijection(board: Board, tag: str, sources, targets,
                      context: CompactionContext | None = None) -> list[Failure]:
-    # forward maps the sources onto the targets and backward undoes it.  Each
-    # is a public map, given as its name, which failures show for a replay,
-    # and the pattern its inputs avoid, with which the core ``_map_full``
-    # runs it.  With a compaction class, the placements are full placements
-    # of its compact board: the maps run there, as the general maps do, and
-    # failures show each placement expanded onto the board.  The images are
-    # compared with the targets as placements, so an image that contains the
-    # other pattern or leaves its compaction class is reported.
-    (f, f_pattern), (b, b_pattern) = forward, backward
+    # alpha maps the 231-avoiding sources onto the 312-avoiding targets and
+    # beta undoes it, through the core ``_map_full``.  With a compaction
+    # class, the placements are full placements of its compact board, the
+    # maps run there, and failures name the general maps and show each
+    # placement expanded onto the board.  The images are compared with the
+    # targets as placements, so an image that contains the other pattern or
+    # leaves its compaction class is reported.
     if context is None:
-        on = board
-
-        def show(p) -> str:
-            return format_placement(p, board)
+        f, b, on = "alpha", "beta", board
     else:
-        cols, rows, on = context.occupied_cols, context.occupied_rows, context.compact_board
+        f, b, on = "alpha_general", "beta_general", context.compact_board
 
-        def show(p) -> str:
-            return format_placement(Placement(frozenset(
-                (cols[c - 1], rows[r - 1]) for c, r in p.markers)), board)
+    def show(p) -> str:
+        return format_placement(p if context is None else expand(context, p), board)
+
     failures = []
     images: dict[FullPlacement, None] = {}  # in the order mapped
     for p in sources:
         try:
-            q = _map_full(on, p, f_pattern)
-            back = _map_full(on, q, b_pattern)
+            q = _map_full(on, p, PATTERN_231)
+            back = _map_full(on, q, PATTERN_312)
         except RookbijError as exc:
             failures.append(Failure(board, tag, f"{f}/{b} failed on {show(p)}: {exc}"))
             continue
@@ -545,8 +541,7 @@ def _check_t4(board: Board) -> list[Failure]:
     # images are the 312-avoiders, a pass beta then alpha cannot fail.
     placements = list(full_placements(board))
     a231, a312 = _avoiders(board, placements).values()
-    failures = _check_bijection(board, "t4", a231, a312,
-                                ("alpha", PATTERN_231), ("beta", PATTERN_312))
+    failures = _check_bijection(board, "t4", a231, a312)
     for p in placements:
         seq = _sequence(board, p)
         if plus_transform(board, plus_transform(board, seq)) != seq:
@@ -558,51 +553,46 @@ def _check_t4(board: Board) -> list[Failure]:
 def _compaction_classes(board: Board) -> Iterator[CompactionContext]:
     """The compaction class of every nonempty rook placement, in (size,
     columns, rows) order: each set of columns C and rows R, |C| = |R|, whose
-    compact board, C's columns each keeping the rows of R up to its height,
-    admits a full placement.  It does exactly when the i-th lowest row of R
-    is at most the i-th shortest column of C (Hall's condition), so R is
-    drawn from the rows up to C's tallest column.  As ``compact`` does, the
-    board keeps one compact board per heights, and the class of every
-    column and row compacts to the board itself."""
+    compact board, C's columns each keeping the rows of R up to its height
+    (``_compact_board``, as in ``compact``), admits a full placement.  It
+    does exactly when the i-th lowest row of R is at most the i-th shortest
+    column of C (Hall's condition), so R is drawn from the rows up to C's
+    tallest column."""
     heights = board.heights
-    n_cols, n_rows = board.n_cols, board.n_rows
-    boards = board._compact_boards
-    for k in range(1, min(n_cols, n_rows) + 1):
+    n_cols = board.n_cols
+    for k in range(1, min(n_cols, board.n_rows) + 1):
         for cols in combinations(range(1, n_cols + 1), k):
             tall_first = [heights[c - 1] for c in cols]
             short_first = tall_first[::-1]
             for rows in combinations(range(1, tall_first[0] + 1), k):
                 if any(r > h for r, h in zip(rows, short_first)):
                     continue
-                if k == n_cols == n_rows:
-                    compact_board = board
-                else:
-                    compact_heights = tuple(bisect_right(rows, h) for h in tall_first)
-                    compact_board = boards.get(compact_heights)
-                    if compact_board is None:
-                        compact_board = boards[compact_heights] = Board(compact_heights)
-                yield CompactionContext(cols, rows, compact_board)
+                yield CompactionContext(cols, rows, _compact_board(board, cols, rows))
 
 
 def _check_remark(board: Board) -> list[Failure]:
     # Partial placements, one compaction class at a time: a class's
     # placements are the full placements of its compact board, expanded
-    # through its columns and rows.  Each is tested for avoidance expanded
-    # onto the board, so the sweep checks that compaction preserves
-    # avoidance.  The 231- and 312-avoider counts agree, the empty placement
-    # counted once on each side, and alpha_general/beta_general, which map
-    # through the compact board, are inverse bijections on every class.  The
-    # public compact runs once per class, as a cross-check of the class's
-    # board and re-indexing.  The count line comes first, then each class's
-    # failures in (size, columns, rows) order.
+    # through its columns and rows.  Compaction preserves avoidance, so the
+    # general maps are the full maps on the compact board: alpha_general and
+    # beta_general are checked there once, on its own avoiders, shown
+    # through the first class that compacts to it.  Each class tests its
+    # placements on the board and reports avoiders that differ from its
+    # compact board's.  The 231- and 312-avoider counts on the board agree,
+    # the empty placement counted once on each side.  The public compact
+    # runs once per class, cross-checking its board and re-indexing.  The
+    # count line comes first, then each class's failures in (size, columns,
+    # rows) order.
     n_231 = n_312 = 1  # the empty placement
     failures = []
-    placements: dict[tuple[int, ...], list[FullPlacement]] = {}  # per compact heights
+    splits: dict[tuple[int, ...], tuple] = {}  # per compact heights: placements, avoiders
     for context in _compaction_classes(board):
-        heights = context.compact_board.heights
-        fulls = placements.get(heights)
-        if fulls is None:
-            fulls = placements[heights] = list(full_placements(context.compact_board))
+        on = context.compact_board
+        fresh = on.heights not in splits
+        if fresh:
+            fulls = list(full_placements(on))
+            splits[on.heights] = fulls, _avoiders(on, fulls)
+        fulls, kept = splits[on.heights]
         first = expand(context, fulls[0])
         try:
             compacted = compact(board, first)
@@ -612,12 +602,18 @@ def _check_remark(board: Board) -> list[Failure]:
             failures.append(Failure(
                 board, "remark", f"compact({format_placement(first, board)}) gave "
                 f"{compacted!r}, its class is {context!r}"))
-        a231, a312 = _avoiders(board, fulls, context).values()
-        n_231 += len(a231)
-        n_312 += len(a312)
-        failures.extend(_check_bijection(
-            board, "remark", a231, a312,
-            ("alpha_general", PATTERN_231), ("beta_general", PATTERN_312), context))
+        found = _avoiders(board, fulls, context)
+        for pattern, avoiders in found.items():
+            if avoiders != kept[pattern]:
+                moved = ",".join(format_placement(expand(context, p), board) for p in fulls
+                                 if (p in avoiders) != (p in kept[pattern]))
+                failures.append(Failure(
+                    board, "remark", f"compaction changes the {pattern}-avoidance of {{{moved}}}"))
+        n_231 += len(found[PATTERN_231])
+        n_312 += len(found[PATTERN_312])
+        if fresh:
+            failures.extend(_check_bijection(
+                board, "remark", kept[PATTERN_231], kept[PATTERN_312], context))
     if n_231 != n_312:
         failures.insert(0, Failure(
             board, "remark", f"{n_231} placements avoid 231 but {n_312} avoid 312"))
@@ -662,9 +658,19 @@ def _board_failures(board: Board, tags: tuple[str, ...]) -> list[Failure]:
     return out
 
 
+def _require_sweep_bound(max_n: int) -> None:
+    if max_n < 1:
+        raise ParseError("--max-n must be at least 1")
+    if max_n > MAX_SWEEP_N:
+        boards = comb(2 * MAX_SWEEP_N, MAX_SWEEP_N) - 1
+        raise ParseError(f"--max-n must be at most {MAX_SWEEP_N}, a sweep of {boards:,} boards")
+
+
 def default_sweep(theorem: str, max_n: int | None = None) -> list[Board]:
-    """The default board sweep for one verification tag."""
+    """The default board sweep for one verification tag.  Raises ParseError
+    for a ``max_n`` below 1 or above MAX_SWEEP_N."""
     n = max_n if max_n is not None else DEFAULT_BOUNDS[theorem]
+    _require_sweep_bound(n)
     if theorem in ("t1", "t2", "t4"):
         return list(boards_within(n, square_bounded_only=True))
     return list(boards_within(n))

@@ -187,7 +187,7 @@ def test_compact_full_placement_is_identity(pair):
 
 @given(boards_with_full_placement())
 def test_compact_full_placement_keeps_the_board(pair):
-    # nothing is deleted, so the board itself, with its geometry and images, is reused
+    # nothing is deleted, so the board itself, with its geometry and sequences, is reused
     board, placement = pair
     assert compact(board, placement)[0].compact_board is board
     assert compact(board, Placement(placement.markers))[0].compact_board is board
@@ -246,9 +246,9 @@ def test_alpha_general_round_trip(pair):
 
 
 def test_threads_sharing_one_board_get_fresh_board_images():
-    # A board's stored images and compact boards are filled without a lock:
-    # a race only computes one value twice, so every thread still gets the
-    # image a fresh board computes.
+    # A board's stored sequences and compact boards are filled without a
+    # lock: a race only computes one value twice, so every thread still gets
+    # the image a fresh board computes.
     heights = (5, 5, 4, 4, 2)
     board = Board(heights)
     placements = [p for p in rook_placements(board) if avoids(board, p, PATTERN_231)]

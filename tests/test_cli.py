@@ -308,6 +308,20 @@ def test_verify_refuses_oversized_sweeps_up_front(max_n):
     assert done.stderr == "error: --max-n must be at most 9, a sweep of 48,619 boards\n"
 
 
+def test_verify_checks_its_sweep_bound_first(capsys):
+    # the library's check, with the CLI's text, before --parallel and --board
+    at_least = "error: --max-n must be at least 1\n"
+    at_most = "error: --max-n must be at most 9, a sweep of 48,619 boards\n"
+    bad = ["--parallel", "0", "--board", "x"]
+    for argv, err in [
+        (["--max-n", "0"], at_least),
+        (["--max-n", "0", *bad], at_least),
+        (["--max-n", "10", *bad], at_most),
+        (["--max-n", "2", *bad], "error: --parallel must be at least 1\n"),
+    ]:
+        assert run(capsys, "verify", *argv) == (2, "", err), argv
+
+
 def test_verify_refuses_boards_beyond_the_sweep_box():
     # a 1000x1000 sweep would enumerate 1000! full placements
     for board in (",".join(["1000"] * 1000), ",".join(["9"] * 10), "10"):

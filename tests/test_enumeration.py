@@ -1,5 +1,6 @@
 import concurrent.futures
 import gc
+from collections import Counter
 import tracemalloc
 from itertools import combinations
 
@@ -275,7 +276,7 @@ def _peak_bytes(run) -> int:
 def test_serial_verify_memory_follows_its_largest_board():
     # What a check caches on a board goes with the board's check, so the
     # sweep's peak stays near one board's, not the sum over the sweep
-    # (about 10x the largest board at this bound when every board kept it).
+    # (about 7x the largest board at this bound when every board kept it).
     sweep = default_sweep("t4", 5)
     largest = max(_peak_bytes(lambda board=board: check_board(Board(board.heights), "t4"))
                   for board in sweep)
@@ -348,6 +349,19 @@ def test_default_sweep_bounds():
     assert max(b.n_rows for b in default_sweep("t2", max_n=3)) == 3
 
 
+@pytest.mark.parametrize("max_n,message", [
+    (0, "--max-n must be at least 1"),
+    (-3, "--max-n must be at least 1"),
+    (10, "--max-n must be at most 9, a sweep of 48,619 boards"),
+    (30, "--max-n must be at most 9, a sweep of 48,619 boards"),
+])
+def test_default_sweep_refuses_bounds_beyond_the_sweep_box(max_n, message):
+    # refused before any board is listed: boards_within(30) has about 10^17
+    with pytest.raises(ParseError) as caught:
+        default_sweep("l1", max_n)
+    assert str(caught.value) == message
+
+
 def test_negative_control_231_vs_321():
     # the harness must be able to see a count difference somewhere: 231 and
     # 321 are not interchangeable on Ferrers boards.  Both library counts
@@ -372,8 +386,8 @@ def test_increasing_and_decreasing_patterns_are_shape_wilf_within_6(increasing):
 
 # The private core each public map stands for in the sweeps, and the pattern
 # its inputs avoid; the core takes that pattern as its third argument.  The
-# remark sweep runs the general maps' core, ``_map_full``, on the compact
-# board of each compaction class.
+# remark sweep runs the general maps' core, ``_map_full``, once on each
+# compact board, shown through the first class that compacts to it.
 _CORES = {
     "alpha": ("_map_full", PATTERN_231),
     "beta": ("_map_full", PATTERN_312),
@@ -452,8 +466,8 @@ def test_check_board_reports_planted_reconstruction_faults(monkeypatch, heights,
 @pytest.mark.parametrize("name", ["alpha", "beta"])
 @pytest.mark.parametrize("mode", ["input", "raise"])
 def test_remark_reports_planted_full_map_faults(monkeypatch, heights, name, mode):
-    # The class sweep calls _map_full on each class's compact board, which
-    # keeps its images; the fault sits above those images.
+    # The class sweep calls _map_full once on each compact board, with the
+    # placements the classes share; the fault sits in the first map that moves one.
     board = Board(heights)
     assert check_board(board, "remark") == []
     _, avoided = _CORES[name]
@@ -491,11 +505,52 @@ def test_remark_reports_a_compact_that_disagrees_with_its_class(monkeypatch):
         f"compact(12) gave {(context, FullPlacement((2, 1)))!r}, its class is {context!r}"]
 
 
+def test_remark_maps_each_compact_board_once(monkeypatch):
+    # Compaction preserves avoidance, so the general maps are the full maps
+    # on the compact board: the sweep maps each compact board's 231-avoiders
+    # forward and back once, however many classes compact to it.
+    board = Board((4, 4, 4, 4))
+    compact_heights = {bijection.compact(board, p)[0].compact_board.heights
+                       for p in rook_placements(board) if p.markers}
+    calls = []
+    original = enumeration._map_full
+
+    def counted(on, placement, avoided):
+        calls.append(on.heights)
+        return original(on, placement, avoided)
+
+    monkeypatch.setattr(enumeration, "_map_full", counted)
+    assert check_board(board, "remark") == []
+    expected = {h: 2 * count_avoiders(Board(h), PATTERN_231) for h in compact_heights}
+    assert Counter(calls) == expected
+    assert len(calls) == sum(expected.values())
+
+
+def test_remark_reports_a_class_whose_avoidance_differs_from_its_compact_board(monkeypatch):
+    # A planted search finds 231 in 1:1,3:3 on the 3x3 square but not in the
+    # same placement compacted onto the 2x2 square, 12: the class of columns
+    # 1, 3 and rows 1, 3 reports it, and the counts on the board disagree.
+    board = Board((3, 3, 3))
+    avoiders = sum(1 for p in rook_placements(board) if avoids(board, p, PATTERN_231))
+    planted = ((1, 1), (3, 3))
+    original = enumeration._pattern_witness
+
+    def wrong(on, markers, pattern):
+        if on == board and markers == planted and pattern == PATTERN_231:
+            return planted
+        return original(on, markers, pattern)
+
+    monkeypatch.setattr(enumeration, "_pattern_witness", wrong)
+    assert [f.witness for f in check_board(board, "remark")] == [
+        f"{avoiders - 1} placements avoid 231 but {avoiders} avoid 312",
+        "compaction changes the 231-avoidance of {1:1,3:3}"]
+
+
 @pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])
 @pytest.mark.parametrize("name", ["reconstruct_231", "reconstruct_312"])
 def test_t4_reports_planted_reconstruction_faults(monkeypatch, heights, name):
-    # The maps rebuild each image through bijection._rebuild once per board,
-    # so the faulty board is fresh: it has not mapped anything yet.
+    # The maps rebuild each image through bijection._rebuild; the faulty
+    # board is fresh, so no sequence it holds was read from the first run.
     assert check_board(Board(heights), "t4") == []
     wrong, planted = _wrong_rebuild(bijection._rebuild, _REBUILT[name])
     monkeypatch.setattr(bijection, "_rebuild", wrong)
