@@ -13,7 +13,6 @@ call directly; every reconstruction self-checks its result (``_rebuild``).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .board import Board
@@ -196,8 +195,7 @@ def beta(board: Board, placement: FullPlacement) -> FullPlacement:
     return _map_full(board, placement, PATTERN_312)
 
 
-@dataclass(frozen=True)
-class CompactionContext:
+class CompactionContext(NamedTuple):
     """Occupied columns/rows of a placement and the board they compact to.
 
     ``compact_board`` is None exactly for the empty placement.

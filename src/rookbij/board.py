@@ -9,7 +9,6 @@ the unit square whose NE corner is the vertex (c, r).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -33,8 +32,7 @@ def format_vertex(v: Vertex) -> str:
     return f"({v.x},{v.y})"
 
 
-@dataclass(frozen=True)
-class BorderPath:
+class BorderPath(NamedTuple):
     """The right/up border walked from the top-left corner down to (n_cols, 0).
 
     ``steps[i]`` is the direction taken from ``vertices[i]`` to ``vertices[i+1]``.
@@ -101,20 +99,58 @@ def _border_rules(board: Board) -> list[tuple[bool, int, int | None, bool]]:
     return list(zip(rises, caps, left_ends, opens))
 
 
-@dataclass(frozen=True)
-class Board:
+class _Value:
+    """An immutable value of the one field that ``_field`` names, set once in
+    the constructor: printed as ``Class(field=...)``, pickled as its field
+    alone, so any cache a subclass keeps is rebuilt on demand, and closed to
+    attribute assignment and deletion (AttributeError).  Each subclass
+    compares and hashes by its field itself, equal only within its class
+    and hashed as ``hash((field,))``, reading the field directly: read by
+    name, as here, an equality test took about twice as long."""
+
+    __slots__ = ()
+    _field: str
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({self._field}={getattr(self, self._field)!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (getattr(self, self._field),)
+
+
+class Board(_Value):
     """A Ferrers board given by weakly decreasing, positive column heights."""
 
+    _field = "heights"
     heights: tuple[int, ...]
 
+    def __init__(self, heights):
+        object.__setattr__(self, "heights", tuple(heights))
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "heights", tuple(self.heights))
+        # The validation hook, run once per board built, so a wrapper
+        # (perfbench/tracer.py) counts the boards built.
         if not self.heights:
             raise ParseError("a board needs at least one column")
         if any(h < 1 for h in self.heights):
             raise ParseError("column heights must be positive")
         if any(a < b for a, b in zip(self.heights, self.heights[1:])):
             raise ParseError("column heights must be weakly decreasing")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.heights == other.heights
+
+    def __hash__(self):
+        return hash((self.heights,))
 
     def __str__(self) -> str:
         return ",".join(str(h) for h in self.heights)
@@ -174,11 +210,6 @@ class Board:
         conj = Board(tuple(rows))
         conj.__dict__["_conjugate_of"] = weakref.ref(self)
         return conj
-
-    def __reduce__(self):
-        # Pickled as its heights alone: the caches are rebuilt on demand,
-        # and the conjugate's weak link back cannot be pickled.
-        return Board, (self.heights,)
 
     # Results of pure functions of this board, filled in by ``bijection``:
     # its compacted boards by heights, and the border sequences of the

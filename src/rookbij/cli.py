@@ -7,7 +7,6 @@ condition violated, sweep counterexample), 2 malformed input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from typing import Callable
@@ -143,7 +142,7 @@ def cmd_compact(args, board: Board) -> _Result:
     line = (f"cols={','.join(map(str, context.occupied_cols))} "
             f"rows={','.join(map(str, context.occupied_rows))} "
             f"board={','.join(map(str, compact_heights))} "
-            f"placement={full}")
+            f"placement={format_placement(full, context.compact_board)}")
     return 0, [line], lambda: {
         "placement": _placement_json(placement, board),
         "cols": list(context.occupied_cols),
@@ -253,6 +252,8 @@ def main(argv=None) -> int:
         print(str(exc))
         return 1
     if args.json:
+        import json  # only here: text output never needs it
+
         head = {"board": list(board.heights)} if board is not None else {}
         print(json.dumps({**head, **fields()}, separators=(",", ":")))
     else:

@@ -6,7 +6,7 @@ board's right/up border, index 0 at the top-left corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .board import RIGHT, Board, _int_field, format_vertex
 from .errors import LengthMismatch, ParseError
@@ -14,8 +14,7 @@ from .errors import LengthMismatch, ParseError
 FSeq = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "monotonicity" | "zero" | "diagonal"
     indices: tuple[int, ...]
     detail: str
@@ -24,8 +23,7 @@ class Violation:
         return f"{self.kind.upper()} at {self.detail}"
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """All violations found, in border order; empty means the check passed."""
 
     violations: tuple[Violation, ...]

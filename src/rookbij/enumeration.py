@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import os
 from bisect import insort
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
 from time import perf_counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .bijection import (
     CompactionContext,
@@ -380,15 +379,13 @@ def valid_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]
             yield seq
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     board: Board
     theorem: str
     witness: str
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     boards_checked: int
     failures: tuple[Failure, ...]
     elapsed: float

@@ -2,24 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .board import Board, _int_field
+from .board import Board, _int_field, _Value
 from .errors import InvalidPlacement, ParseError
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Value):
     """A permutation word used as the avoidance target, e.g. (2, 3, 1)."""
 
+    _field = "word"
     word: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
-        k = len(self.word)
-        if k == 0 or sorted(self.word) != list(range(1, k + 1)):
-            raise ParseError(f"{self.word!r} is not a permutation of 1..{k}")
+    def __init__(self, word):
+        word = tuple(word)
+        k = len(word)
+        if k == 0 or sorted(word) != list(range(1, k + 1)):
+            raise ParseError(f"{word!r} is not a permutation of 1..{k}")
+        object.__setattr__(self, "word", word)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self):
+        return hash((self.word,))
 
     def __str__(self) -> str:
         return "".join(str(v) for v in self.word)
@@ -49,14 +57,22 @@ PATTERN_231 = Pattern((2, 3, 1))
 PATTERN_312 = Pattern((3, 1, 2))
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(_Value):
     """A rook placement: marker squares, at most one per row and per column."""
 
+    _field = "markers"
     markers: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "markers", frozenset(self.markers))
+    def __init__(self, markers):
+        object.__setattr__(self, "markers", frozenset(markers))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.markers == other.markers
+
+    def __hash__(self):
+        return hash((self.markers,))
 
     def validate_on(self, board: Board) -> None:
         markers = self.markers
@@ -70,20 +86,26 @@ class Placement:
                 raise InvalidPlacement(f"marker ({c},{r}) is outside the board")
 
 
-@dataclass(frozen=True)
-class FullPlacement:
+class FullPlacement(_Value):
     """A full rook placement; ``perm[i]`` is the marker row of column i+1."""
 
+    _field = "perm"
     perm: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
-            raise InvalidPlacement(f"{self.perm!r} is not a permutation of 1..{n}")
+    def __init__(self, perm):
+        perm = tuple(perm)
+        n = len(perm)
+        if sorted(perm) != list(range(1, n + 1)):
+            raise InvalidPlacement(f"{perm!r} is not a permutation of 1..{n}")
+        object.__setattr__(self, "perm", perm)
 
-    def __str__(self) -> str:
-        return "".join(str(v) for v in self.perm)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.perm == other.perm
+
+    def __hash__(self):
+        return hash((self.perm,))
 
     @property
     def markers(self) -> frozenset[tuple[int, int]]:

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rookbij.board import Board, Vertex, _int_field, parse_board
-from rookbij.enumeration import boards_within, full_placements
+from rookbij.bijection import CompactionContext
+from rookbij.board import Board, BorderPath, Vertex, _int_field, parse_board
+from rookbij.conditions import ConditionReport, Violation
+from rookbij.enumeration import Failure, SweepReport, boards_within, full_placements
 from rookbij.errors import ParseError
+from rookbij.placement import FullPlacement, Pattern, Placement
 from oracles import conjugate_by_rows
 from strategies import admitting_boards, boards
 
@@ -149,6 +152,64 @@ def test_boards_pickle_as_their_heights():
     for b in (board, conj):
         copy = pickle.loads(pickle.dumps(b))
         assert copy == b and copy.__dict__ == {"heights": b.heights}
+
+
+# (class, field name, field value, repr) of each value class.  Board, Pattern
+# and FullPlacement all take the tuple (2, 1).
+VALUES = [
+    (Board, "heights", (2, 1), "Board(heights=(2, 1))"),
+    (Pattern, "word", (2, 1), "Pattern(word=(2, 1))"),
+    (Placement, "markers", frozenset({(1, 2)}), "Placement(markers=frozenset({(1, 2)}))"),
+    (FullPlacement, "perm", (2, 1), "FullPlacement(perm=(2, 1))"),
+]
+
+
+@pytest.mark.parametrize("cls, name, field, text", VALUES)
+def test_values_compare_hash_print_and_pickle_by_their_one_field(cls, name, field, text):
+    value = cls(field)
+    assert getattr(value, name) == field
+    assert value == cls(field) and value == cls(**{name: field})
+    assert not value != cls(field)
+    # equal to no value of another class, even one with an equal field
+    for other_cls, _, other_field, _ in VALUES:
+        if other_cls is not cls:
+            assert value != other_cls(other_field)
+    assert value != field and value != (field,)
+    assert hash(value) == hash((field,))
+    assert repr(value) == text
+    for attr in (name, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, field)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) == field
+    if cls is Pattern:
+        assert value.neighbours  # a cached value is not pickled
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and copy == value and copy.__dict__ == {name: field}
+
+
+# One value of each record class.
+RECORDS = [
+    BorderPath((Vertex(0, 1), Vertex(1, 1), Vertex(1, 0)), ("R", "D")),
+    Violation("zero", (0,), "border index 0 must be 0, got 1"),
+    ConditionReport((Violation("zero", (0, 1), "border indices 0-1"),)),
+    CompactionContext((2,), (1,), Board((1,))),
+    Failure(Board((1,)), "t1", "witness"),
+    SweepReport(1, (Failure(Board((1,)), "t1", "witness"),), 0.5),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_named_tuples(record):
+    # they unpack, compare and hash as plain tuples of their fields
+    fields = tuple(getattr(record, name) for name in record._fields)
+    assert tuple(record) == fields and record == fields
+    assert hash(record) == hash(fields)
+    assert type(record)._make(fields) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
 
 
 @given(boards())

@@ -208,6 +208,16 @@ def test_compact_golden(capsys):
     assert (code, out) == (0, "cols= rows= board= placement=\n")
 
 
+def test_compact_prints_ten_or_more_columns_as_pairs(capsys):
+    # a compacted placement prints as every placement does: a permutation
+    # word only up to 9 columns, col:row pairs beyond
+    side = ",".join(["11"] * 11)
+    pairs = ",".join(f"{c}:{12 - c}" for c in range(1, 12))
+    ranks = ",".join(map(str, range(1, 12)))
+    code, out, _ = run(capsys, "compact", "--board", side, "--placement", pairs)
+    assert (code, out) == (0, f"cols={ranks} rows={ranks} board={side} placement={pairs}\n")
+
+
 def test_verify_single_board(capsys):
     code, out, _ = run(capsys, "verify", "--board", "3,3,3", "--theorem", "t4")
     assert code == 0

@@ -29,6 +29,7 @@ from rookbij.placement import (
     Pattern,
     Placement,
     avoids,
+    format_placement,
     pattern_witness,
     s_sequence,
 )
@@ -575,7 +576,7 @@ def test_l1_reports_a_planted_profile_fault_at_its_vertex(heights):
         count = sum(1 for c, r in p.markers if c <= v.x and r <= v.y)
         assert failure.theorem == "l1"
         assert failure.witness == (
-            f"placement {p} has {count} markers in R(({v.x},{v.y})), "
+            f"placement {format_placement(p)} has {count} markers in R(({v.x},{v.y})), "
             f"profile says {profile[index]}")
 
 
