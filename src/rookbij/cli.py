@@ -18,6 +18,7 @@ from .enumeration import (
     THEOREM_TAGS,
     SweepReport,
     _require_sweep_bound,
+    _require_workers,
     count_avoiders,
     default_sweep,
     verify,
@@ -154,8 +155,7 @@ def cmd_compact(args, board: Board) -> _Result:
 def cmd_verify(args, _board: None) -> _Result:
     if args.max_n is not None:
         _require_sweep_bound(args.max_n)
-    if args.parallel < 1:
-        raise ParseError("--parallel must be at least 1")
+    _require_workers(args.parallel)
     board = parse_board(args.board) if args.board is not None else None
     tags = THEOREM_TAGS if args.theorem == "all" else (args.theorem,)
     reports: list[tuple[str, SweepReport]] = []

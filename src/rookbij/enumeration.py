@@ -35,7 +35,7 @@ from .placement import (
     Pattern,
     Placement,
     _by_column,
-    _pattern_witness,
+    _closes,
     avoids,
     format_placement,
 )
@@ -72,12 +72,24 @@ def full_placements(board: Board) -> Iterator[FullPlacement]:
     still be completed (``_completable_rows``), so it never backtracks out of
     a dead end.  Iterative, so no column count reaches the recursion limit.
     """
+    return _filled(board, False, False)
+
+
+def _filled(board: Board, tested: bool, prune: bool) -> Iterator:
+    """``full_placements``' loop.  ``tested``: each placement comes as
+    (placement, holds 231, holds 312), on-board occurrences, from flags
+    kept per prefix: ``_closes`` tests each marker once as it joins a
+    prefix, for every placement sharing that prefix, and a prefix holding
+    both skips the test.  ``prune``: a prefix holding both is dropped, with
+    every placement through it, so only the avoiders of either come out.
+    """
     if not board.admits_full_placement():
         return
     n = board.n_cols
     heights = board.heights
     perm: list[int] = []
     free = list(range(1, n + 1))  # the rows no column has taken, ascending
+    held = [(False, False)] * (n + 1)  # held[k]: whether perm[:k] holds 231, 312
     pending = [iter(_completable_rows(heights, free))]  # rows to try, per column
     while pending:
         col = len(pending) - 1
@@ -87,12 +99,23 @@ def full_placements(board: Board) -> Iterator[FullPlacement]:
         if row is None:
             pending.pop()
             continue
+        if tested:
+            has_231, has_312 = held[col]
+            if not (has_231 and has_312):
+                found_231, found_312 = _closes(perm, row, heights[col])
+                has_231 = has_231 or found_231
+                has_312 = has_312 or found_312
+                if prune and has_231 and has_312:
+                    continue
+            held[col + 1] = has_231, has_312
         free.remove(row)
         perm.append(row)
-        if col + 1 == n:
-            yield FullPlacement(tuple(perm))
-        else:
+        if col + 1 < n:
             pending.append(iter(_completable_rows(heights, free)))
+        elif tested:
+            yield FullPlacement(tuple(perm)), has_231, has_312
+        else:
+            yield FullPlacement(tuple(perm))
 
 
 def _completable_rows(heights: tuple[int, ...], free: list[int]) -> list[int]:
@@ -423,10 +446,12 @@ def _check_l1(board: Board) -> list[Failure]:
 
 def _avoiders(board: Board, placements: Iterable,
               context: CompactionContext | None = None) -> dict[Pattern, list]:
-    # The sweeps generate the placements on the board, so the search runs
-    # unchecked, on markers listed once for both patterns.  With a
-    # compaction class, the placements are full placements of its compact
-    # board, each tested expanded onto the board.
+    # The sweeps generate the placements on the board, so each is tested
+    # unchecked: ``_closes`` on each marker in column order, stopping once
+    # both patterns are found.  With a compaction class, the placements are
+    # full placements of its compact board, each tested expanded onto the
+    # board.
+    heights = board.heights
     if context is not None:  # lift[r]: the board row of compact row r
         cols, lift = context.occupied_cols, (0,) + context.occupied_rows
     a231, a312 = [], []
@@ -434,19 +459,43 @@ def _avoiders(board: Board, placements: Iterable,
         if context is None:
             markers = _by_column(p)
         else:
-            markers = tuple(zip(cols, [lift[r] for r in p.perm]))
-        if _pattern_witness(board, markers, PATTERN_231) is None:
+            markers = zip(cols, [lift[r] for r in p.perm])
+        rows: list[int] = []
+        has_231 = has_312 = False
+        for col, row in markers:
+            found_231, found_312 = _closes(rows, row, heights[col - 1])
+            has_231 = has_231 or found_231
+            has_312 = has_312 or found_312
+            if has_231 and has_312:
+                break
+            rows.append(row)
+        if not has_231:
             a231.append(p)
-        if _pattern_witness(board, markers, PATTERN_312) is None:
+        if not has_312:
             a312.append(p)
     return {PATTERN_231: a231, PATTERN_312: a312}
+
+
+def _split(board: Board, prune: bool) -> tuple[list[FullPlacement], dict[Pattern, list]]:
+    # The full placements from ``_filled``'s tested loop, and the 231- and
+    # 312-avoiders among them, each in lexicographic order.  With ``prune``
+    # the placements holding both patterns are never built, and are missing
+    # from the first list.
+    placements, a231, a312 = [], [], []
+    for p, has_231, has_312 in _filled(board, True, prune):
+        placements.append(p)
+        if not has_231:
+            a231.append(p)
+        if not has_312:
+            a312.append(p)
+    return placements, {PATTERN_231: a231, PATTERN_312: a312}
 
 
 def _check_t1(board: Board) -> list[Failure]:
     # The border sequence determines the avoiding placement, and the
     # reconstruction inverts the sequence map.
     failures = []
-    for pattern, avoiders in _avoiders(board, full_placements(board)).items():
+    for pattern, avoiders in _split(board, True)[1].items():
         seen: dict[tuple[int, ...], FullPlacement] = {}
         for p in avoiders:
             seq = _sequence(board, p)  # kept, so the reconstruction's self-check reads it
@@ -478,7 +527,7 @@ def _check_t2(board: Board) -> list[Failure]:
     if not board.square_bounded():
         return []
     failures = []
-    for pattern, avoiders in _avoiders(board, full_placements(board)).items():
+    for pattern, avoiders in _split(board, True)[1].items():
         realized = {_sequence(board, p) for p in avoiders}
         accepted = set(valid_sequences(board, pattern))
         for seq in sorted(realized - accepted):
@@ -536,9 +585,8 @@ def _check_t4(board: Board) -> list[Failure]:
     # and plus_transform is an involution on realized sequences.  One pass
     # suffices: if beta(alpha(p)) = p for every 231-avoider p and alpha's
     # images are the 312-avoiders, a pass beta then alpha cannot fail.
-    placements = list(full_placements(board))
-    a231, a312 = _avoiders(board, placements).values()
-    failures = _check_bijection(board, "t4", a231, a312)
+    placements, avoiders = _split(board, False)
+    failures = _check_bijection(board, "t4", avoiders[PATTERN_231], avoiders[PATTERN_312])
     for p in placements:
         seq = _sequence(board, p)
         if plus_transform(board, plus_transform(board, seq)) != seq:
@@ -587,8 +635,7 @@ def _check_remark(board: Board) -> list[Failure]:
         on = context.compact_board
         fresh = on.heights not in splits
         if fresh:
-            fulls = list(full_placements(on))
-            splits[on.heights] = fulls, _avoiders(on, fulls)
+            splits[on.heights] = _split(on, False)
         fulls, kept = splits[on.heights]
         first = expand(context, fulls[0])
         try:
@@ -663,6 +710,11 @@ def _require_sweep_bound(max_n: int) -> None:
         raise ParseError(f"--max-n must be at most {MAX_SWEEP_N}, a sweep of {boards:,} boards")
 
 
+def _require_workers(parallel: int) -> None:
+    if parallel < 1:
+        raise ParseError("--parallel must be at least 1")
+
+
 def default_sweep(theorem: str, max_n: int | None = None) -> list[Board]:
     """The default board sweep for one verification tag.  Raises ParseError
     for a ``max_n`` below 1 or above MAX_SWEEP_N."""
@@ -681,9 +733,10 @@ def verify(boards: Board | Iterable[Board], theorem: str = "all",
     the tags in THEOREM_TAGS or "all".  ``parallel`` worker processes are
     started, at most one per board and per CPU.  Reports are merged in board
     order, so output does not depend on ``parallel``.  Raises ParseError,
-    before any check runs, if a board does not fit in the MAX_SWEEP_N-square
-    box that sweeps are limited to.
+    before any check runs, if ``parallel`` is below 1 or a board does not
+    fit in the MAX_SWEEP_N-square box that sweeps are limited to.
     """
+    _require_workers(parallel)
     if isinstance(boards, Board):
         boards = [boards]
     boards = list(boards)

@@ -85,6 +85,15 @@ def pattern_witness_by_scan(board: Board, placement, pattern: Pattern):
     return None
 
 
+def closes_by_scan(rows, row: int, height: int) -> tuple[bool, bool]:
+    """Whether two of the earlier ``rows`` and then ``row`` form a 231 and a
+    312 whose highest row is at most ``height``, trying every pair."""
+    words = {tuple(sorted(trio).index(r) + 1 for r in trio)
+             for trio in ((a, b, row) for a, b in combinations(rows, 2))
+             if max(trio) <= height}
+    return (2, 3, 1) in words, (3, 1, 2) in words
+
+
 def avoids_by_border_definition(board: Board, placement, pattern: Pattern) -> bool:
     """Avoidance checked literally vertex by vertex along the border.
 

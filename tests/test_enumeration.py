@@ -331,6 +331,17 @@ def test_verify_and_check_board_refuse_boards_beyond_the_sweep_box(monkeypatch):
     assert verify(Board((1,) * 9), "l1").passed
 
 
+@pytest.mark.parametrize("parallel", [0, -1])
+def test_verify_refuses_fewer_than_one_worker(monkeypatch, parallel):
+    # with the CLI's text, before any check runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(enumeration, "_board_failures", no_work)
+    with pytest.raises(ParseError, match="^--parallel must be at least 1$"):
+        verify(Board((2, 2)), "l1", parallel=parallel)
+
+
 def test_verify_rejects_unknown_tag():
     with pytest.raises(ValueError, match="unknown theorem tag 't3'"):
         verify(Board((1,)), "t3")
@@ -528,23 +539,66 @@ def test_remark_maps_each_compact_board_once(monkeypatch):
 
 
 def test_remark_reports_a_class_whose_avoidance_differs_from_its_compact_board(monkeypatch):
-    # A planted search finds 231 in 1:1,3:3 on the 3x3 square but not in the
+    # A planted core finds 231 in 1:1,3:3 on the 3x3 square but not in the
     # same placement compacted onto the 2x2 square, 12: the class of columns
     # 1, 3 and rows 1, 3 reports it, and the counts on the board disagree.
+    # The core sees rows, not columns, and 1:1,2:3, in the class of columns
+    # 1, 2 and rows 1, 3, asks it the same question first; the fault fires
+    # on the second asking only.
     board = Board((3, 3, 3))
     avoiders = sum(1 for p in rook_placements(board) if avoids(board, p, PATTERN_231))
-    planted = ((1, 1), (3, 3))
-    original = enumeration._pattern_witness
+    original = enumeration._closes
+    asked = []
 
-    def wrong(on, markers, pattern):
-        if on == board and markers == planted and pattern == PATTERN_231:
-            return planted
-        return original(on, markers, pattern)
+    def wrong(rows, row, height):
+        found_231, found_312 = original(rows, row, height)
+        if (rows, row, height) == ([1], 3, 3):
+            asked.append(rows)
+            if len(asked) == 2:
+                return True, found_312
+        return found_231, found_312
 
-    monkeypatch.setattr(enumeration, "_pattern_witness", wrong)
+    monkeypatch.setattr(enumeration, "_closes", wrong)
     assert [f.witness for f in check_board(board, "remark")] == [
         f"{avoiders - 1} placements avoid 231 but {avoiders} avoid 312",
         "compaction changes the 231-avoidance of {1:1,3:3}"]
+
+
+def _planted_closes(original, pattern, mode):
+    """``original``, the core ``_closes``, with one fault planted in its
+    answer for ``pattern``: "keep" misses the first occurrence it would
+    find, "drop" finds one on the first call that would find none."""
+    side = (PATTERN_231, PATTERN_312).index(pattern)
+    planted = []
+
+    def faulty(rows, row, height):
+        found = list(original(rows, row, height))
+        if not planted and found[side] == (mode == "keep"):
+            planted.append((list(rows), row, height))
+            found[side] = not found[side]
+        return tuple(found)
+
+    return faulty, planted
+
+
+# Every full placement on 4,4,3,2 avoids both patterns, so no fault in
+# ``_closes`` that keeps a non-avoider can show there.
+@pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 4, 3)])
+@pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
+@pytest.mark.parametrize("tag,mode", [("t1", "keep"), ("t2", "drop")])
+def test_t1_and_t2_report_planted_containment_faults(monkeypatch, heights, pattern, tag, mode):
+    # t1 and t2 split the placements by the flags ``_closes`` keeps per
+    # prefix.  A missed occurrence keeps a non-avoider, whose sequence t1
+    # finds shared or not rebuilt to it; a false one drops avoiders, whose
+    # sequences t2 finds accepted but not realized.
+    assert check_board(Board(heights), tag) == []
+    faulty, planted = _planted_closes(enumeration._closes, pattern, mode)
+    monkeypatch.setattr(enumeration, "_closes", faulty)
+    failures = check_board(Board(heights), tag)
+    assert planted and failures and all(f.theorem == tag for f in failures)
+    if tag == "t2":
+        assert all(f.witness.endswith(f"passes the {pattern}-conditions but no avoider "
+                                      "realizes it") for f in failures)
 
 
 @pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])

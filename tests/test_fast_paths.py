@@ -31,6 +31,7 @@ from rookbij.placement import (
     PATTERN_312,
     Pattern,
     Placement,
+    _closes,
     avoids,
     pattern_witness,
     s_sequence,
@@ -40,6 +41,7 @@ from oracles import (
     border_rules_by_path,
     border_sequences_by_search,
     border_values,
+    closes_by_scan,
     count_avoiders_by_filter,
     diagonal_pairs_by_scan,
     full_placements_by_backtracking,
@@ -80,6 +82,35 @@ def test_length_3_witness_matches_scan_within_5(pattern):
             assert pattern_witness(board, p, pattern) == \
                 pattern_witness_by_scan(board, p, pattern), (board, p)
     assert cases == 45_296
+
+
+def test_closes_matches_scan_on_prefixes_within_5():
+    # each marker of every full placement within 5x5, against the markers
+    # before it
+    cases = 0
+    for board in boards_within(5, full_only=True):
+        for p in full_placements(board):
+            for k, row in enumerate(p.perm):
+                cases += 1
+                rows = list(p.perm[:k])
+                assert _closes(rows, row, board.heights[k]) == \
+                    closes_by_scan(rows, row, board.heights[k]), (board, p, k)
+    assert cases == 5_197
+
+
+def test_tested_placements_match_the_avoids_filter_within_6():
+    # The t-sweeps' flagged loop against ``full_placements`` and the public
+    # check, lists in order: the split of every full placement that t4 and
+    # remark take, and the pruned lists of t1 and t2, which leave out the
+    # placements holding both patterns.
+    for board in boards_within(6, full_only=True):
+        fulls = list(full_placements(board))
+        expected = {pattern: [p for p in fulls if avoids(board, p, pattern)]
+                    for pattern in (PATTERN_231, PATTERN_312)}
+        assert enumeration._split(board, False) == (fulls, expected), board
+        either = set(expected[PATTERN_231]) | set(expected[PATTERN_312])
+        assert enumeration._split(board, True) == \
+            ([p for p in fulls if p in either], expected), board
 
 
 @st.composite
