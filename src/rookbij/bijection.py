@@ -117,49 +117,47 @@ def _rebuild(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPlacem
 
 
 def _raw_rebuild(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPlacement:
-    """The rebuild of ``_rebuild``, without its self-check.  For 231 it
-    works right to left.  With b_r..b_0 the values down the right-hand
-    column's vertex line and a_r the value just left of the column top, the
-    column's marker sits in the highest row j with b_j > b_{j-1}.  Deleting
-    that column and row leaves a smaller board whose sequence keeps the
-    prefix through a_r and continues with a_r repeated down to row j, then
-    b_{j-1}..b_0.  The working sequence and heights shrink in place.  For
-    312 it runs the 231 rebuild on the conjugate board with the reversed
-    sequence and reflects the result back."""
+    """The rebuild of ``_rebuild``, without its self-check, in one O(n + h)
+    pass over ``seq``.  For 231 it works right to left.  With b_r..b_0 the
+    values down the right-hand column's vertex line and a_r the value just
+    left of its top, the column's marker sits in the highest row j with
+    b_j > b_{j-1}.  Deleting that column and row leaves as the new line the
+    next column's stretch of ``seq`` down to a_r, then a_r repeated down to
+    row j, then b_{j-1}..b_0.  The line's rises, each with the value below
+    it, wait on a stack, highest on top, so row j is the one popped.  The
+    rows below j keep their values, hence their rises, and the run of a_r
+    adds at most one, at row j (if j = r there is no run: a realizable
+    sequence then has a_r = b_{r-1}).  Row j is at most r, the least height
+    left, so each deletion lowers every column by one: a column's height is
+    its own less the number of columns removed.  For 312 it runs the 231
+    rebuild on the conjugate board with the reversed sequence and reflects
+    the result back."""
     if pattern == PATTERN_312:
         conj = board.conjugate()
         return _reflect(_raw_rebuild(conj, tuple(reversed(seq)), PATTERN_231))
-    heights = list(board.heights)
-    work = list(seq)
-    rows_alive = list(range(1, board.n_rows + 1))
-    perm = [0] * board.n_cols
-    while heights:
-        n = len(heights)
-        r = heights[-1]
-        if len(work) != n + heights[0] + 1 or len(rows_alive) != heights[0]:
-            raise ReconstructionFailure("working sequence out of step with working board")
-        end = len(work) - 1  # work[end - y] = b_y, and work[top - 1] = a_r
-        top = end - r
-        for i in range(top, end):
-            if work[i] > work[i + 1]:
-                break
-        else:
-            raise ReconstructionFailure(f"no admissible marker row for column {n}")
-        j = end - i
-        perm[n - 1] = rows_alive.pop(j - 1)
-        heights.pop()
-        for c, h in enumerate(heights):  # the columns reaching row j lose it
-            if h < j:
-                break
-            heights[c] = h - 1
-        if heights and not heights[-1]:  # the shortest column
-            raise ReconstructionFailure("row deletion empties a column; sequence not realizable")
-        # the new right-hand column's line: a_r from row r - 2 down to row j,
-        # then b_y below row j
-        low = min(j, r - 1)
-        work[top:end + 1 - low] = [work[top - 1]] * (r - 1 - low)
-    if work != [0] or rows_alive:
-        raise ReconstructionFailure("sequence does not reduce to the empty board")
+    heights = board.heights
+    n = len(heights)
+    if heights[0] != n or len(seq) != 2 * n + 1:
+        raise ReconstructionFailure("sequence out of step with board")
+    rows_alive = list(range(1, n + 1))
+    perm = [0] * n
+    rises = []  # (row, value below it) per rise of the line, highest last
+    end = 2 * n  # seq index of the lowest vertex of the line not yet read
+    for c in range(n - 1, -1, -1):
+        r = heights[c] + c + 1 - n  # column c + 1's height, once those right of it are gone
+        top = 2 * c + 2 - r  # seq index i on column c + 1's line is in row 2c + 2 - i
+        for i in range(end - 1, top - 1, -1):
+            if seq[i] > seq[i + 1]:
+                rises.append((2 * c + 2 - i, seq[i + 1]))
+        # A column left with no row ends here too: its stretch adds no rise,
+        # and the one-row column right of it took the only one.
+        if not rises:
+            raise ReconstructionFailure(f"no admissible marker row for column {c + 1}")
+        j, below = rises.pop()
+        perm[c] = rows_alive.pop(j - 1)
+        if j < r and seq[top - 1] > below:  # a_r over b_{j-1}
+            rises.append((j, below))
+        end = top - 1
     try:
         result = FullPlacement(tuple(perm))
         result.validate_on(board)

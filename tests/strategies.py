@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the test suite."""
+"""Hypothesis strategies and seeded random draws shared by the test suite."""
 
 from hypothesis import strategies as st
 
@@ -32,3 +32,24 @@ def boards_with_rook_placement(draw, max_n: int = 4):
     board = draw(boards(max_n))
     placement = draw(st.sampled_from(list(rook_placements(board))))
     return board, placement
+
+
+def random_231_avoider(rng, values):
+    """A 231-avoiding arrangement of the increasing list ``values``, drawn by
+    the largest value's split: it goes anywhere, every value on its left is
+    below every value on its right, and each side is drawn alike."""
+    if not values:
+        return []
+    m = rng.randrange(len(values))
+    return random_231_avoider(rng, values[:m]) + [values[-1]] + random_231_avoider(rng, values[m:-1])
+
+
+def random_board_above(rng, perm):
+    """A square-bounded board holding the full placement ``perm``: each column
+    at most as tall as the one before and at least as tall as every marker
+    from it rightward."""
+    heights, height = [], len(perm)
+    for c in range(len(perm)):
+        height = rng.randint(max(perm[c:]), height)
+        heights.append(height)
+    return Board(tuple(heights))

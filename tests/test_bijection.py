@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 import threading
 
@@ -38,7 +39,12 @@ from rookbij.placement import (
     s_sequence,
 )
 from oracles import compact_heights_by_count
-from strategies import boards_with_full_placement, boards_with_rook_placement
+from strategies import (
+    boards_with_full_placement,
+    boards_with_rook_placement,
+    random_231_avoider,
+    random_board_above,
+)
 
 B333 = Board((3, 3, 3))
 # A 231- and a 312-containing placement on B333, each with its rejection text.
@@ -118,6 +124,20 @@ def test_reconstruct_round_trip_small():
                 assert reconstruct_231(board, s_sequence(board, p)) == p
             if avoids(board, p, PATTERN_312):
                 assert reconstruct_312(board, s_sequence(board, p)) == p
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reconstruct_round_trip_on_wide_boards(seed):
+    # A 231-avoider of 10-300 columns on a board drawn above it; its reflection
+    # avoids 312 on the conjugate board.
+    rng = random.Random(seed)
+    n = rng.randint(10, 300)
+    p = FullPlacement(random_231_avoider(rng, list(range(1, n + 1))))
+    board = random_board_above(rng, p.perm)
+    assert reconstruct_231(board, s_sequence(board, p)) == p
+    conj, q = board.conjugate(), inverse_placement(board, p)
+    assert reconstruct_312(conj, s_sequence(conj, q)) == q
+    assert beta(board, alpha(board, p)) == p
 
 
 def test_alpha_beta_examples():

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -21,8 +22,15 @@ from rookbij.enumeration import (
     full_placement_count,
     full_placements,
 )
-from rookbij.placement import PATTERN_231, avoids, format_placement
-from strategies import boards
+from rookbij.placement import (
+    PATTERN_231,
+    FullPlacement,
+    avoids,
+    format_placement,
+    inverse_placement,
+    s_sequence,
+)
+from strategies import boards, random_231_avoider
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -397,6 +405,21 @@ def test_map_takes_the_identity_on_the_1000_square_in_seconds():
     done = _limited_cli("map", "--board", square, "--placement", identity, "--alpha", timeout=5)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == ",".join(f"{c}:{1001 - c}" for c in range(1, 1001)) + "\n"
+
+
+@pytest.mark.parametrize("pattern", ["231", "312"])
+def test_reconstruct_rebuilds_an_avoider_on_the_1000_square_in_seconds(pattern):
+    # a seeded 231-avoider, or its reflection, which avoids 312
+    board = Board((1000,) * 1000)
+    p = FullPlacement(random_231_avoider(random.Random(22), list(range(1, 1001))))
+    if pattern == "312":
+        p = inverse_placement(board, p)
+    assert p.perm != tuple(range(1, 1001))
+    seq = ",".join(map(str, s_sequence(board, p)))
+    done = _limited_cli("reconstruct", "--board", ",".join(["1000"] * 1000), "--seq", seq,
+                        "--pattern", pattern, timeout=5)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == format_placement(p, board) + "\n"
 
 
 def test_count_answers_every_monotone_pattern_on_9x9(capsys):

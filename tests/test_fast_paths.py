@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rookbij import enumeration
-from rookbij.bijection import _map_full, _raw_rebuild, alpha, alpha_general, beta, beta_general
+from rookbij.bijection import _map_full, _raw_rebuild, _rebuild, alpha, alpha_general, beta, beta_general
 from rookbij.board import Board
 from rookbij.enumeration import (
     _END,
@@ -25,7 +25,7 @@ from rookbij.enumeration import (
     rook_placements,
     valid_sequences,
 )
-from rookbij.errors import RookbijError
+from rookbij.errors import ReconstructionFailure, RookbijError
 from rookbij.placement import (
     PATTERN_231,
     PATTERN_312,
@@ -345,33 +345,44 @@ def test_unchecked_maps_on_reused_board_match_fresh_board_within_5():
                         outcome(Board(board.heights), p, avoided), (board, p)
 
 
-def _rebuilt(rebuild, board, seq, pattern):
+def _avoiders_by_sequence(board, pattern):
+    """Brute force: the board's full avoiders of ``pattern`` by border sequence."""
+    return {s_sequence(board, p): p for p in full_placements(board) if avoids(board, p, pattern)}
+
+
+def _assert_rebuilds_by_brute_force(board, seq, pattern, avoiders):
+    # On a fresh board, so no memo of an earlier case answers the self-check.
     try:
-        return rebuild(board, seq, pattern)
-    except RookbijError as exc:
-        return type(exc), str(exc)
+        result = _rebuild(Board(board.heights), seq, pattern)
+    except ReconstructionFailure:
+        assert seq not in avoiders, (board, seq)
+    else:
+        assert result == avoiders.get(seq), (board, seq)
 
 
 @pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
 def test_rebuild_in_place_matches_slicing_within_5(pattern):
-    # Every accepted sequence of every square-bounded board, and every sequence
-    # one value off one of them: the same placement, or the same error.
+    # Every accepted sequence of every square-bounded board rebuilds, unchecked,
+    # to the slicing oracle's placement; with every sequence one value off one
+    # of them, the self-checked rebuild gives the avoider of that sequence, or
+    # fails exactly when there is none.
     cases = 0
     for board in boards_within(5, square_bounded_only=True):
+        avoiders = _avoiders_by_sequence(board, pattern)
         for seq in valid_sequences(board, pattern):
+            assert _raw_rebuild(board, seq, pattern) == rebuild_by_slicing(board, seq, pattern)
             nearby = [seq[:i] + (v + d,) + seq[i + 1:] for i, v in enumerate(seq) for d in (-1, 1)]
             for s in [seq, *nearby]:
                 cases += 1
-                assert _rebuilt(_raw_rebuild, board, s, pattern) == \
-                    _rebuilt(rebuild_by_slicing, board, s, pattern), (board, s)
+                _assert_rebuilds_by_brute_force(board, s, pattern, avoiders)
     assert cases > 10_000
 
 
 @pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
-def test_rebuild_in_place_matches_slicing_on_every_small_sequence_within_3(pattern):
-    # Every sequence of values 0..2 on every board within 3x3, square-bounded
+def test_rebuild_matches_brute_force_on_every_small_sequence_within_3(pattern):
+    # Every sequence of values -1..2 on every board within 3x3, square-bounded
     # or not, reaches the failure branches the accepted sequences miss.
     for board in boards_within(3):
-        for s in product(range(3), repeat=board.n_cols + board.n_rows + 1):
-            assert _rebuilt(_raw_rebuild, board, s, pattern) == \
-                _rebuilt(rebuild_by_slicing, board, s, pattern), (board, s)
+        avoiders = _avoiders_by_sequence(board, pattern)
+        for s in product(range(-1, 3), repeat=board.n_cols + board.n_rows + 1):
+            _assert_rebuilds_by_brute_force(board, s, pattern, avoiders)
