@@ -41,7 +41,8 @@ def random_231_avoider(rng, values):
     if not values:
         return []
     m = rng.randrange(len(values))
-    return random_231_avoider(rng, values[:m]) + [values[-1]] + random_231_avoider(rng, values[m:-1])
+    left, right = random_231_avoider(rng, values[:m]), random_231_avoider(rng, values[m:-1])
+    return left + [values[-1]] + right
 
 
 def random_board_above(rng, perm):

@@ -12,7 +12,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rookbij import enumeration
-from rookbij.bijection import _map_full, _raw_rebuild, _rebuild, alpha, alpha_general, beta, beta_general
+from rookbij.bijection import (
+    _map_full,
+    _raw_rebuild,
+    _rebuild,
+    alpha,
+    alpha_general,
+    beta,
+    beta_general,
+)
 from rookbij.board import Board
 from rookbij.enumeration import (
     _END,
@@ -370,7 +378,8 @@ def test_rebuild_in_place_matches_slicing_within_5(pattern):
     for board in boards_within(5, square_bounded_only=True):
         avoiders = _avoiders_by_sequence(board, pattern)
         for seq in valid_sequences(board, pattern):
-            assert _raw_rebuild(board, seq, pattern) == rebuild_by_slicing(board, seq, pattern)
+            assert _raw_rebuild(board, seq, pattern) == \
+                rebuild_by_slicing(board, seq, pattern), (board, seq)
             nearby = [seq[:i] + (v + d,) + seq[i + 1:] for i, v in enumerate(seq) for d in (-1, 1)]
             for s in [seq, *nearby]:
                 cases += 1
