@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, NamedTuple
 
-from .board import Board
+from .board import Board, _conjugate_heights
 from .conditions import _sized_sequence, check_231, check_312
 from .errors import (
     ConditionViolation,
@@ -30,6 +30,7 @@ from .placement import (
     FullPlacement,
     Pattern,
     Placement,
+    _as_full,
     _reflect,
     _s_sequence,
     pattern_witness,
@@ -38,10 +39,8 @@ from .placement import (
 
 def plus_transform(board: Board, seq) -> tuple[int, ...]:
     """Send the value s at a border vertex to 0 if s == 0, else N + 1 - s,
-    where N is the board's marker-count profile at that vertex.
-
-    An involution on the sequences realized by full placements.
-    """
+    where N is the board's marker-count profile at that vertex.  An
+    involution on the sequences realized by full placements."""
     out = []
     for i, (s, n) in enumerate(zip(_sized_sequence(board, seq), board.marker_count_profile)):
         if not 0 <= s <= n:
@@ -129,13 +128,13 @@ def _raw_rebuild(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPl
     adds at most one, at row j (if j = r there is no run: a realizable
     sequence then has a_r = b_{r-1}).  Row j is at most r, the least height
     left, so each deletion lowers every column by one: a column's height is
-    its own less the number of columns removed.  For 312 it runs the 231
-    rebuild on the conjugate board with the reversed sequence and reflects
-    the result back."""
-    if pattern == PATTERN_312:
-        conj = board.conjugate()
-        return _reflect(_raw_rebuild(conj, tuple(reversed(seq)), PATTERN_231))
+    its own less the number of columns removed.  For 312 the same pass runs
+    on the conjugate heights with the reversed sequence, and the inverse of
+    the rows it finds is the result."""
     heights = board.heights
+    transposed = pattern == PATTERN_312
+    if transposed:
+        heights, seq = _conjugate_heights(heights), seq[::-1]
     n = len(heights)
     if heights[0] != n or len(seq) != 2 * n + 1:
         raise ReconstructionFailure("sequence out of step with board")
@@ -159,7 +158,7 @@ def _raw_rebuild(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPl
             rises.append((j, below))
         end = top - 1
     try:
-        result = FullPlacement(tuple(perm))
+        result = FullPlacement(_reflect(perm) if transposed else perm)
         result.validate_on(board)
     except InvalidPlacement as exc:
         raise ReconstructionFailure(str(exc)) from exc
@@ -180,24 +179,25 @@ def _map_full(board: Board, placement: FullPlacement, avoided: Pattern) -> FullP
                     _side(avoided).image)
 
 
-def alpha(board: Board, placement: FullPlacement) -> FullPlacement:
+def alpha(board: Board, placement) -> FullPlacement:
     """Map a 231-avoiding full placement to the 312-avoiding one whose border
-    sequence is the plus_transform of the input's."""
+    sequence is the plus_transform of the input's.  Raises InvalidPlacement
+    for a placement that leaves a column or a row of the board empty."""
+    placement = _as_full(board, placement)
     _require_avoider(board, placement, PATTERN_231)
     return _map_full(board, placement, PATTERN_231)
 
 
-def beta(board: Board, placement: FullPlacement) -> FullPlacement:
+def beta(board: Board, placement) -> FullPlacement:
     """Inverse of ``alpha``: 312-avoiders to 231-avoiders via plus_transform."""
+    placement = _as_full(board, placement)
     _require_avoider(board, placement, PATTERN_312)
     return _map_full(board, placement, PATTERN_312)
 
 
 class CompactionContext(NamedTuple):
-    """Occupied columns/rows of a placement and the board they compact to.
-
-    ``compact_board`` is None exactly for the empty placement.
-    """
+    """Occupied columns/rows of a placement and the board they compact to;
+    ``compact_board`` is None exactly for the empty placement."""
 
     occupied_cols: tuple[int, ...]
     occupied_rows: tuple[int, ...]
@@ -253,11 +253,9 @@ def _map_general(board: Board, placement, avoided: Pattern) -> Placement:
 
 
 def alpha_general(board: Board, placement) -> Placement:
-    """Apply ``alpha`` to any 231-avoiding rook placement via compaction.
-
-    The image occupies the same rows and columns as the input and avoids 312;
-    ``beta_general`` inverts it.
-    """
+    """Apply ``alpha`` to any 231-avoiding rook placement via compaction.  The
+    image occupies the same rows and columns, avoids 312, and ``beta_general``
+    inverts it."""
     _require_avoider(board, placement, PATTERN_231)
     return _map_general(board, placement, PATTERN_231)
 

@@ -8,7 +8,6 @@ the unit square whose NE corner is the vertex (c, r).
 
 from __future__ import annotations
 
-import weakref
 from functools import cached_property
 from typing import NamedTuple
 
@@ -99,14 +98,23 @@ def _border_rules(board: Board) -> list[tuple[bool, int, int | None, bool]]:
     return list(zip(rises, caps, left_ends, opens))
 
 
+def _conjugate_heights(heights: tuple[int, ...]) -> tuple[int, ...]:
+    """The conjugate's heights, the row lengths: walking the columns from the
+    shortest, column c is the last to reach the rows up to its height."""
+    rows: list[int] = []
+    for c in range(len(heights), 0, -1):
+        rows.extend([c] * (heights[c - 1] - len(rows)))
+    return tuple(rows)
+
+
 class _Value:
     """An immutable value of the one field that ``_field`` names, set once in
     the constructor: printed as ``Class(field=...)``, pickled as its field
-    alone, so any cache a subclass keeps is rebuilt on demand, and closed to
-    attribute assignment and deletion (AttributeError).  Each subclass
-    compares and hashes by its field itself, equal only within its class
-    and hashed as ``hash((field,))``, reading the field directly: read by
-    name, as here, an equality test took about twice as long."""
+    alone, so a subclass's caches stay behind and are rebuilt on demand, and
+    closed to attribute assignment and deletion (AttributeError).  Each
+    subclass compares and hashes by its field itself, equal only within its
+    class and hashed as ``hash((field,))``, reading the field directly: read
+    by name, as here, an equality test took about twice as long."""
 
     __slots__ = ()
     _field: str
@@ -192,24 +200,8 @@ class Board(_Value):
         return tuple(x + y - top for x, y in zip(xs, ys))
 
     def conjugate(self) -> Board:
-        """Reflect the board across the main diagonal; built once per board,
-        and the conjugate's conjugate is this board while this board lives.
-        The conjugate links back weakly, so neither keeps the other in a
-        reference cycle that only the cyclic collector frees."""
-        back = self.__dict__.get("_conjugate_of")
-        board = back() if back is not None else None
-        return board if board is not None else self._conjugate
-
-    @cached_property
-    def _conjugate(self) -> Board:
-        # Row y is as long as the columns reaching it: walking the columns
-        # from the shortest, column c is the last to reach rows up to h_c.
-        rows: list[int] = []
-        for c in range(self.n_cols, 0, -1):
-            rows.extend([c] * (self.heights[c - 1] - len(rows)))
-        conj = Board(tuple(rows))
-        conj.__dict__["_conjugate_of"] = weakref.ref(self)
-        return conj
+        """Reflect the board across the main diagonal; a new board on each call, kept by neither."""
+        return Board(_conjugate_heights(self.heights))
 
     # Results of pure functions of this board, filled in by ``bijection``:
     # its compacted boards by heights, and the border sequences of the
@@ -245,9 +237,7 @@ class Board(_Value):
     def admits_full_placement(self) -> bool:
         """Existence of a full rook placement (Hall-type distinct-representatives test)."""
         n = self.n_cols
-        if self.n_rows != n:
-            return False
-        return all(self.heights[i] >= n - i for i in range(n))
+        return self.n_rows == n and all(h >= n - i for i, h in enumerate(self.heights))
 
 
 def _int_field(text: str) -> int:

@@ -680,6 +680,11 @@ def _require_within_sweep_box(board: Board) -> None:
                          "the box of the largest --max-n")
 
 
+def _require_tag(theorem: str) -> None:
+    if theorem not in _CHECKS:
+        raise ValueError(f"unknown theorem tag {theorem!r}")
+
+
 def check_board(board: Board, theorem: str) -> list[Failure]:
     """Run one verification check on one board; failures are data, not errors.
 
@@ -687,8 +692,7 @@ def check_board(board: Board, theorem: str) -> list[Failure]:
     for a board beyond the MAX_SWEEP_N-square sweep box.
     """
     _require_within_sweep_box(board)
-    if theorem not in _CHECKS:
-        raise ValueError(f"unknown theorem tag {theorem!r}")
+    _require_tag(theorem)
     return _CHECKS[theorem](board)
 
 
@@ -716,8 +720,10 @@ def _require_workers(parallel: int) -> None:
 
 
 def default_sweep(theorem: str, max_n: int | None = None) -> list[Board]:
-    """The default board sweep for one verification tag.  Raises ParseError
-    for a ``max_n`` below 1 or above MAX_SWEEP_N."""
+    """The default board sweep for one verification tag.  Raises ValueError
+    for a tag not in THEOREM_TAGS, then ParseError for a ``max_n`` below 1 or
+    above MAX_SWEEP_N."""
+    _require_tag(theorem)
     n = max_n if max_n is not None else DEFAULT_BOUNDS[theorem]
     _require_sweep_bound(n)
     if theorem in ("t1", "t2", "t4"):
@@ -742,8 +748,8 @@ def verify(boards: Board | Iterable[Board], theorem: str = "all",
     boards = list(boards)
     for board in boards:
         _require_within_sweep_box(board)
-    if theorem != "all" and theorem not in _CHECKS:
-        raise ValueError(f"unknown theorem tag {theorem!r}")
+    if theorem != "all":
+        _require_tag(theorem)
     tags = THEOREM_TAGS if theorem == "all" else (theorem,)
     start = perf_counter()
     failures: list[Failure] = []

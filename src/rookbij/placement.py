@@ -309,20 +309,30 @@ def _s_sequence(board: Board, placement) -> tuple[int, ...]:
     return tuple(out)
 
 
-def inverse_placement(board: Board, placement: FullPlacement) -> FullPlacement:
+def inverse_placement(board: Board, placement) -> FullPlacement:
     """Reflect a full placement across the main diagonal, onto the conjugate board."""
-    placement.validate_on(board)
-    out = _reflect(placement)
-    out.validate_on(board.conjugate())
-    return out
+    placement = _as_full(board, placement)
+    placement.validate_on(board)  # then the reflection fits the conjugate board
+    return FullPlacement(_reflect(placement.perm))
 
 
-def _reflect(placement: FullPlacement) -> FullPlacement:
+def _reflect(perm) -> tuple[int, ...]:
     """The inverse permutation: each marker (c, r) moved to (r, c)."""
-    inverse = [0] * len(placement.perm)
-    for col, row in enumerate(placement.perm, start=1):
+    inverse = [0] * len(perm)
+    for col, row in enumerate(perm, start=1):
         inverse[row - 1] = col
-    return FullPlacement(tuple(inverse))
+    return tuple(inverse)
+
+
+def _as_full(board: Board, placement) -> FullPlacement:
+    """A placement with a marker in every column and row of the board as a
+    FullPlacement, else InvalidPlacement; a FullPlacement is left to ``validate_on``."""
+    if isinstance(placement, FullPlacement):
+        return placement
+    placement.validate_on(board)
+    if not len(placement.markers) == board.n_cols == board.n_rows:
+        raise InvalidPlacement("placement leaves a column or a row of the board empty")
+    return FullPlacement(r for _, r in sorted(placement.markers))
 
 
 def parse_placement(text: str, board: Board):

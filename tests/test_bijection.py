@@ -19,6 +19,7 @@ from rookbij.bijection import (
     reconstruct_312,
 )
 from rookbij.board import Board
+from rookbij.conditions import check_231, check_312
 from rookbij.enumeration import boards_within, full_placements, rook_placements
 from rookbij.errors import (
     ConditionViolation,
@@ -134,10 +135,48 @@ def test_reconstruct_round_trip_on_wide_boards(seed):
     n = rng.randint(10, 300)
     p = FullPlacement(random_231_avoider(rng, list(range(1, n + 1))))
     board = random_board_above(rng, p.perm)
-    assert reconstruct_231(board, s_sequence(board, p)) == p
-    conj, q = board.conjugate(), inverse_placement(board, p)
-    assert reconstruct_312(conj, s_sequence(conj, q)) == q
-    assert beta(board, alpha(board, p)) == p
+    seq = s_sequence(board, p)
+    assert check_231(board, seq).verdict  # t2: realized sequences are accepted
+    assert reconstruct_231(board, seq) == p
+    conj, r = board.conjugate(), inverse_placement(board, p)
+    assert reconstruct_312(conj, s_sequence(conj, r)) == r
+    # t4 and t1 on the 312 side of the board itself: the transposed pass
+    q = alpha(board, p)
+    q_seq = s_sequence(board, q)
+    assert pattern_witness(board, q, PATTERN_312) is None
+    assert check_312(board, q_seq).verdict
+    assert reconstruct_312(board, q_seq) == q
+    assert beta(board, q) == p
+    # remark: a random subset of the markers maps there and back
+    part = Placement(rng.sample(sorted(p.markers), rng.randint(1, n)))
+    assert beta_general(board, alpha_general(board, part)) == part
+
+
+def test_maps_keep_no_conjugate_on_the_board():
+    board = Board((4, 4, 3, 2))
+    p = next(p for p in full_placements(board) if avoids(board, p, PATTERN_312))
+    reconstruct_312(board, s_sequence(board, p))
+    beta(board, alpha(board, beta(board, p)))
+    assert "_conjugate" not in board.__dict__
+    assert not any(isinstance(v, Board) for v in board.__dict__.values())
+
+
+def test_maps_reject_placements_leaving_a_column_or_row_empty():
+    # A placement that fills the board maps as the full placement it is.
+    for board in boards_within(4):
+        for placement in rook_placements(board):
+            if len(placement.markers) == board.n_cols == board.n_rows:
+                full = FullPlacement(r for _, r in sorted(placement.markers))
+                assert inverse_placement(board, placement) == inverse_placement(board, full)
+                if avoids(board, full, PATTERN_231):
+                    assert alpha(board, placement) == alpha(board, full)
+                if avoids(board, full, PATTERN_312):
+                    assert beta(board, placement) == beta(board, full)
+                continue
+            for function in (alpha, beta, inverse_placement):
+                with pytest.raises(InvalidPlacement,
+                                   match="^placement leaves a column or a row of the board empty$"):
+                    function(board, placement)
 
 
 def test_alpha_beta_examples():

@@ -354,6 +354,14 @@ def test_check_board_rejects_unknown_tag(tag):
         check_board(Board((1,)), tag)
 
 
+@pytest.mark.parametrize("tag", ["t3", "all"])
+@pytest.mark.parametrize("max_n", [None, 3])
+def test_default_sweep_rejects_unknown_tag(tag, max_n):
+    # "all" is a verify tag only; a sweep is listed for one check
+    with pytest.raises(ValueError, match=f"^unknown theorem tag '{tag}'$"):
+        default_sweep(tag, max_n)
+
+
 def test_default_sweep_bounds():
     assert all(b.square_bounded() for b in default_sweep("t1"))
     assert max(b.n_cols for b in default_sweep("remark")) == 4
