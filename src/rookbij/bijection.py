@@ -50,17 +50,11 @@ def plus_transform(board: Board, seq) -> tuple[int, ...]:
 
 
 class _Side(NamedTuple):
-    """The operations on one side of the bijection, the avoiders of one pattern.
-
-    ``diagonal_le`` is the direction of the side's diagonal condition: the
-    left end of every in-board diagonal is at most (231) or at least (312)
-    its right end.  ``image`` is the pattern the side's map images avoid.
-    """
+    """One pattern's side of the bijection; ``image`` is the pattern its map images avoid."""
 
     check: Callable
     reconstruct: Callable
     map_general: Callable
-    diagonal_le: bool
     image: Pattern
 
 
@@ -69,9 +63,9 @@ def _side(pattern: Pattern) -> _Side:
     a table built at import, so a module attribute replaced at run time (say,
     by a tracer) is the one called."""
     if pattern == PATTERN_231:
-        return _Side(check_231, reconstruct_231, alpha_general, True, PATTERN_312)
+        return _Side(check_231, reconstruct_231, alpha_general, PATTERN_312)
     if pattern == PATTERN_312:
-        return _Side(check_312, reconstruct_312, beta_general, False, PATTERN_231)
+        return _Side(check_312, reconstruct_312, beta_general, PATTERN_231)
     raise ValueError(f"no condition checker for pattern {pattern}")
 
 

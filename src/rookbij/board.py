@@ -9,6 +9,7 @@ the unit square whose NE corner is the vertex (c, r).
 from __future__ import annotations
 
 from functools import cached_property
+from operator import ge
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -65,8 +66,7 @@ def _border_rules(board: Board) -> list[tuple[bool, int, int | None, bool]]:
     no kept pair ends at i), and whether a kept pair starts at i.  The cap is
     the marker-count profile value x + y - n_rows at i's vertex (x, y), or y
     if less: y is the number of downward steps left, so a larger value never
-    gets back to 0.  (On a board with a full placement the profile never
-    exceeds y.)  All of it is read off the border coordinates in one pass.
+    gets back to 0 (on a board with a full placement it is the profile).
 
     Of the in-board diagonal pairs only (k, j), j the first border vertex down
     k's diagonal x + y, are kept; the others on that diagonal chain through
@@ -74,27 +74,34 @@ def _border_rules(board: Board) -> list[tuple[bool, int, int | None, bool]]:
     only at vertices, and its stretch between two consecutive ones lies
     wholly on or off the board, so each vertex pairs with the previous border
     vertex on its diagonal when the diagonal leaves that one into the board,
-    which it does exactly when the border leaves it rightward.  Kept pairs
-    never cross: a diagonal entering the region between another kept pair's
-    diagonal and the border can leave it only through the border.  Only here
-    are diagonals found: ``Board.diagonal_pairs`` follows the kept pairs' chains.
+    which it does exactly when the border leaves it rightward.  Each step
+    moves x + y by one, up if rightward, so these pairs match like brackets:
+    one pass over the heights pushes each index the border leaves rightward
+    and pops the left end at each downward step.  Only here are diagonals
+    found: ``Board.diagonal_pairs`` follows the kept pairs' chains.
     """
-    xs, ys = _border_xy(board.heights)
-    top = ys[0]
+    top = y = board.heights[0]
     rises, caps, left_ends = [False], [0], [None]
-    opens = [False] * len(xs)
-    last_on = {top: 0}  # the last border index seen on each diagonal x + y
-    for i in range(1, len(xs)):
-        x, y = xs[i], ys[i]
-        k = last_on.get(x + y)
-        if k is not None and xs[k + 1] > xs[k]:
-            opens[k] = True
-        else:
-            k = None
-        last_on[x + y] = i
-        rises.append(x > xs[i - 1])
-        caps.append(y if x >= top else x + y - top)
-        left_ends.append(k)
+    opens = [False] * (board.n_cols + top + 1)
+    stack = []  # the indices left rightward whose pair has not closed yet
+    off = -top  # min(x - n_rows, 0) at the vertex (x, y), whose cap is y + off
+    for h in board.heights + (0,):  # down each column's left edge, right along its top
+        while y > h:
+            y -= 1
+            rises.append(False)
+            caps.append(y + off)
+            if stack:
+                k = stack.pop()
+                opens[k] = True
+                left_ends.append(k)
+            else:
+                left_ends.append(None)
+        if h:
+            stack.append(len(rises) - 1)
+            off += off < 0
+            rises.append(True)
+            caps.append(y + off)
+            left_ends.append(None)
     return list(zip(rises, caps, left_ends, opens))
 
 
@@ -192,8 +199,8 @@ class Board(_Value):
 
         Pure geometry: x + y - n_rows at the border vertex (x, y), so 0 at the
         top-left corner, +1 per rightward step and -1 per downward step.
-        Entries can go negative exactly when the board admits no full
-        placement.
+        Entries go negative only on a board with no full placement, and on a
+        square-bounded board exactly then.
         """
         xs, ys = _border_xy(self.heights)
         top = self.heights[0]
@@ -237,7 +244,7 @@ class Board(_Value):
     def admits_full_placement(self) -> bool:
         """Existence of a full rook placement (Hall-type distinct-representatives test)."""
         n = self.n_cols
-        return self.n_rows == n and all(h >= n - i for i, h in enumerate(self.heights))
+        return self.n_rows == n and all(map(ge, self.heights, range(n, 0, -1)))
 
 
 def _int_field(text: str) -> int:

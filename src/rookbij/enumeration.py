@@ -25,7 +25,7 @@ from .bijection import (
     expand,
     plus_transform,
 )
-from .board import RIGHT, Board, _border_rules, _border_xy
+from .board import RIGHT, Board, _border_rules
 from .conditions import format_sequence
 from .errors import ParseError, RookbijError
 from .placement import (
@@ -224,12 +224,13 @@ def _shape_walks(board: Board, pattern: Pattern) -> int:
     the longest decreasing and as many columns as the longest increasing
     marker chain in R(V).  So the walks with at most k - 1 rows count the
     k...21-avoiders and, transposing every shape, the 12...k-avoiders.  A
-    shape is kept as its row lengths, zeros included.  The steps are read off
-    the border coordinates: a step is rightward where x grows.
+    shape is kept as its row lengths, zeros included.  The steps are the
+    rises of the rule table (``_border_rules``).
     """
     rows = min(len(pattern.word) - 1, board.n_cols)  # no shape has more rows than boxes
 
-    def step(layer: dict, rise: bool, zero) -> dict:
+    def step(layer: dict, rule: tuple[bool, int, int | None, bool], zero) -> dict:
+        rise = rule[0]
         after: dict = {}
         for shape, value in layer.items():
             for r in range(rows):
@@ -246,10 +247,8 @@ def _shape_walks(board: Board, pattern: Pattern) -> int:
                 after[moved] = after.get(moved, zero) + value
         return after
 
-    xs, _ = _border_xy(board.heights)
-    rises = [a < b for a, b in zip(xs, xs[1:])]
     empty = (0,) * rows
-    return _walk(pattern, "shapes", empty, rises, step).get(empty, 0)
+    return _walk(pattern, "shapes", empty, _border_rules(board)[1:], step).get(empty, 0)
 
 
 def rook_placements(board: Board) -> Iterator[Placement]:
@@ -330,10 +329,10 @@ def _sequence_walks(board: Board, pattern: Pattern,
     allow and pushes the new value at one that opens a pair.  The allowed
     values are the previous value plus 0 or 1 after a rightward step, minus
     0 or 1 after a downward one; within [0, cap]; not a second zero in a
-    row; and at least (231) or at most (312) the popped value.  The
-    sequences are the walks ending in ``_END``.
+    row; and at least (231) or at most (312, or any other pattern) the
+    popped value.  The sequences are the walks ending in ``_END``.
     """
-    diagonal_le = _side(pattern).diagonal_le
+    diagonal_le = pattern == PATTERN_231
 
     def step(layer: dict, rule: tuple[bool, int, int | None, bool], zero) -> dict:
         rise, cap, left_end, opens = rule

@@ -8,7 +8,6 @@ prefix, every dead end.  None is used by the library.
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from rookbij.bijection import _side
 from rookbij.board import DOWN, RIGHT, Board, BorderPath, Vertex
 from rookbij.errors import InvalidPlacement, ReconstructionFailure
 from rookbij.placement import (
@@ -270,7 +269,7 @@ def border_sequences_by_search(board: Board, pattern: Pattern):
     border that tries at index i every value ``_allowed`` gives after indices
     0..i-1 under the profile, dead ends included; a sequence is kept when its
     last value is 0."""
-    diagonal_le = _side(pattern).diagonal_le
+    diagonal_le = {PATTERN_231: True, PATTERN_312: False}[pattern]
     profile = profile_by_steps(board)
     if min(profile) < 0:  # no value fits below a negative cap
         return

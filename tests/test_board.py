@@ -85,6 +85,24 @@ def test_marker_count_profile(heights, profile):
     assert Board(heights).marker_count_profile == profile
 
 
+def test_profile_goes_negative_only_without_a_full_placement_within_7():
+    # and exactly then on a square-bounded board; a wider board may have
+    # neither, such as 1,1
+    assert Board((1, 1)).marker_count_profile == (0, 1, 2, 1)
+    neither = []
+    for board in boards_within(7):
+        negative = min(board.marker_count_profile) < 0
+        admits = board.admits_full_placement()
+        assert not (negative and admits), board
+        if board.square_bounded():
+            assert negative != admits, board
+        elif not (negative or admits):
+            neither.append(board)
+    assert len(neither) == 804
+    assert all(board.n_cols > board.n_rows for board in neither)
+    assert sum(board.n_cols <= 5 and board.n_rows <= 5 for board in neither) == 67
+
+
 @given(admitting_boards(max_n=5))
 def test_profile_counts_any_full_placement(board):
     # the profile is placement-independent: check the first placement directly

@@ -404,6 +404,22 @@ def test_increasing_and_decreasing_patterns_are_shape_wilf_within_6(increasing):
             count_avoiders_by_filter(board, Pattern(increasing[::-1])), board
 
 
+@pytest.mark.parametrize("word,inverse", [
+    ("231", "312"), ("312", "231"), ("123", "123"), ("321", "321"),
+    ("1234", "1234"), ("4321", "4321"),
+])
+def test_counts_take_the_inverse_pattern_on_the_conjugate_within_7(word, inverse):
+    # Transposing the board moves each marker (c, r) to (r, c), so the
+    # avoiders of a pattern go to the avoiders of its inverse.  Both counts
+    # are walks (the sequence walk for 231 and 312, the shape walk for the
+    # monotone patterns), held against each other, not against an oracle.
+    boards = list(boards_within(7, full_only=True))
+    assert len(boards) == 625
+    pattern, inverted = Pattern.parse(word), Pattern.parse(inverse)
+    for board in boards:
+        assert count_avoiders(board, pattern) == count_avoiders(board.conjugate(), inverted), board
+
+
 # The private core each public map stands for in the sweeps, and the pattern
 # its inputs avoid; the core takes that pattern as its third argument.  The
 # remark sweep runs the general maps' core, ``_map_full``, once on each

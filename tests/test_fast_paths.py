@@ -1,6 +1,7 @@
 """Differential tests: each fast kernel against the slow scan it replaced."""
 
 import os
+import random
 import subprocess
 import sys
 from itertools import permutations, product
@@ -58,6 +59,7 @@ from oracles import (
     rebuild_by_slicing,
     rook_placements_by_recursion,
 )
+from strategies import random_231_avoider, random_board_above
 
 PATTERNS = [Pattern(word) for k in (1, 2, 3) for word in permutations(range(1, k + 1))]
 PATTERNS.append(Pattern((2, 4, 1, 3)))
@@ -190,6 +192,40 @@ def test_border_geometry_matches_step_walk_within_8():
         assert board.border_path == border_path_by_steps(board), board
         assert board.marker_count_profile == profile_by_steps(board), board
         assert _border_rules(board) == border_rules_by_path(board), board
+
+
+def _deepest_nesting(rules) -> int:
+    """The most kept diagonal pairs open at once along the border."""
+    depth = deepest = 0
+    for _, _, left_end, opens in rules:
+        depth += opens - (left_end is not None)
+        deepest = max(deepest, depth)
+    return deepest
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_border_rules_match_step_walk_on_wide_boards(seed):
+    # Within 8x8 the rule pass's stack holds at most 8 open pairs.  A full
+    # board of 20-1000 columns drawn above a random 231-avoider holds far
+    # more; with a column added or its last column cut it has no full
+    # placement, and neither has a partition of as many random heights.
+    rng = random.Random(seed)
+    n = rng.randint(20, 1000)
+    full = random_board_above(rng, random_231_avoider(rng, list(range(1, n + 1))))
+    top = rng.randint(20, 1000)
+    others = [Board(full.heights + (1,)), Board(full.heights[:-1]),
+              Board(tuple(sorted(rng.choices(range(1, top + 1), k=n), reverse=True)))]
+    assert full.admits_full_placement()
+    assert not any(board.admits_full_placement() for board in others)
+    for board in [full, *others]:
+        assert _border_rules(board) == border_rules_by_path(board), board
+    assert _deepest_nesting(_border_rules(full)) > 8
+
+
+def test_border_rules_nest_a_pair_per_column_on_the_1000_square():
+    rules = _border_rules(Board((1000,) * 1000))
+    assert rules == border_rules_by_path(Board((1000,) * 1000))
+    assert _deepest_nesting(rules) == 1000
 
 
 def test_kept_diagonal_pairs_nest_and_imply_every_pair_within_8():
