@@ -223,8 +223,9 @@ def test_border_rules_match_step_walk_on_wide_boards(seed):
 
 
 def test_border_rules_nest_a_pair_per_column_on_the_1000_square():
-    rules = _border_rules(Board((1000,) * 1000))
-    assert rules == border_rules_by_path(Board((1000,) * 1000))
+    board = Board((1000,) * 1000)
+    rules = _border_rules(board)
+    assert rules == border_rules_by_path(board)
     assert _deepest_nesting(rules) == 1000
 
 
