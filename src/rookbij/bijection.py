@@ -13,6 +13,7 @@ call directly; every reconstruction self-checks its result (``_rebuild``).
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import le
 from typing import Callable, NamedTuple
 
 from .board import Board, _conjugate_heights
@@ -40,13 +41,15 @@ from .placement import (
 def plus_transform(board: Board, seq) -> tuple[int, ...]:
     """Send the value s at a border vertex to 0 if s == 0, else N + 1 - s,
     where N is the board's marker-count profile at that vertex.  An
-    involution on the sequences realized by full placements."""
-    out = []
-    for i, (s, n) in enumerate(zip(_sized_sequence(board, seq), board.marker_count_profile)):
-        if not 0 <= s <= n:
-            raise OutOfRange(f"value {s} at border index {i} outside [0, {n}]")
-        out.append(n + 1 - s if s else 0)
-    return tuple(out)
+    involution on the sequences realized by full placements.  Raises
+    OutOfRange at the first value outside [0, N]."""
+    seq = _sized_sequence(board, seq)
+    profile = board.marker_count_profile
+    if min(seq) < 0 or not all(map(le, seq, profile)):
+        i, s, n = next((i, s, n) for i, (s, n) in enumerate(zip(seq, profile))
+                       if not 0 <= s <= n)
+        raise OutOfRange(f"value {s} at border index {i} outside [0, {n}]")
+    return tuple([n + 1 - s if s else 0 for s, n in zip(seq, profile)])
 
 
 class _Side(NamedTuple):

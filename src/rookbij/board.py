@@ -45,7 +45,8 @@ class BorderPath(NamedTuple):
 def _border_xy(heights: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """The x and the y of every vertex of the border path, top-left corner
     first: down each column's left edge to its height, right along its top,
-    and after the last column down to (n_cols, 0)."""
+    and after the last column down to (n_cols, 0).  Only ``border_path``
+    builds them; the profile and the rule table walk the heights themselves."""
     y = heights[0]
     xs, ys = [0], [y]
     for x, h in enumerate(heights):
@@ -200,11 +201,19 @@ class Board(_Value):
         Pure geometry: x + y - n_rows at the border vertex (x, y), so 0 at the
         top-left corner, +1 per rightward step and -1 per downward step.
         Entries go negative only on a board with no full placement, and on a
-        square-bounded board exactly then.
+        square-bounded board exactly then.  Built in one pass over the
+        heights: each column's stretch down its left edge is one range.
         """
-        xs, ys = _border_xy(self.heights)
-        top = self.heights[0]
-        return tuple(x + y - top for x, y in zip(xs, ys))
+        heights = self.heights
+        y = heights[0]
+        out = [0]
+        for x, h in enumerate(heights, start=-y):  # x - n_rows at the column's left edge
+            out += range(x + y - 1, x + h - 1, -1)
+            out.append(x + 1 + h)
+            y = h
+        x = len(heights) - heights[0]
+        out += range(x + y - 1, x - 1, -1)  # down the right edge to (n_cols, 0)
+        return tuple(out)
 
     def conjugate(self) -> Board:
         """Reflect the board across the main diagonal; a new board on each call, kept by neither."""

@@ -6,9 +6,10 @@ board's right/up border, index 0 at the top-left corner.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import NamedTuple
 
-from .board import RIGHT, Board, _int_field, format_vertex
+from .board import Board, _int_field, format_vertex
 from .errors import LengthMismatch, ParseError
 
 FSeq = tuple[int, ...]
@@ -57,14 +58,19 @@ def _sized_sequence(board: Board, seq) -> FSeq:
 
 
 def _check(board: Board, seq, diagonal_le: bool) -> ConditionReport:
+    """The 231- (``diagonal_le``) or 312-conditions on ``seq``, violations in
+    the order monotonicity, zero, diagonal, each by border index.  A step's
+    direction is the marker-count profile's change across it, +1 rightward
+    and -1 downward, and a diagonal pair is rendered by its border vertices
+    only when it is violated, so a passing check builds no ``border_path``."""
     seq = _sized_sequence(board, seq)
     violations: list[Violation] = []
 
     # Along the border path a rightward step may raise the value by 0 or 1,
     # a downward step may lower it by 0 or 1.
-    for i, step in enumerate(board.border_path.steps):
-        delta = seq[i + 1] - seq[i]
-        if delta not in ((0, 1) if step == RIGHT else (-1, 0)):
+    profile = board.marker_count_profile
+    for i, (delta, step) in enumerate(zip(map(sub, seq[1:], seq), map(sub, profile[1:], profile))):
+        if delta and delta != step:
             violations.append(Violation(
                 "monotonicity", (i, i + 1),
                 f"border indices {i}-{i + 1}: {seq[i]} -> {seq[i + 1]}"))
@@ -79,10 +85,10 @@ def _check(board: Board, seq, diagonal_le: bool) -> ConditionReport:
             violations.append(Violation("zero", (i, i + 1), f"border indices {i}-{i + 1}"))
 
     glyph = "<" if diagonal_le else ">"
-    verts = board.border_path.vertices
     for i, j in board.diagonal_pairs:
         bad = seq[i] > seq[j] if diagonal_le else seq[i] < seq[j]
         if bad:
+            verts = board.border_path.vertices
             violations.append(Violation(
                 "diagonal", (i, j),
                 f"{format_vertex(verts[i])}{glyph}{format_vertex(verts[j])}"))

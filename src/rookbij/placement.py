@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 
 from .board import Board, _int_field, _Value
@@ -278,13 +279,14 @@ def s_sequence(board: Board, placement) -> tuple[int, ...]:
 def _s_sequence(board: Board, placement) -> tuple[int, ...]:
     """``s_sequence`` of a placement known to be on the board.
 
-    Columns are swept left to right by the local growth rule, keeping only
-    the previous column: zero along the left and bottom edges; a marked
-    square forces NE = SW + 1, an unmarked square NE = max(NW, SE).  Column
-    values never decrease upwards, so below the marker NE = NW, and above it
-    NE = max(NW, marker value), which is NW from the first row where NW
-    reaches the marker value.  Each column's border vertices are read as the
-    sweep passes them.
+    Patience sorting over the markers, column by column: ``tails[k]`` is the
+    least last row of an increasing chain of k + 1 markers so far, so one
+    ``bisect_left`` per marker keeps it, and the longest chain inside R(V)
+    at the vertex V = (x, y) of the columns so far is ``bisect_right(tails,
+    y)``, the chains whose last row is at most y.  Each column's stretch of
+    the border, from its height down to the next column's, is constant
+    between two tails, so it is written as one run per tail it passes:
+    O(n log n + h) for n columns and longest column h.
     """
     if isinstance(placement, FullPlacement):
         rows = placement.perm
@@ -292,20 +294,23 @@ def _s_sequence(board: Board, placement) -> tuple[int, ...]:
         rows = [0] * board.n_cols  # the marker row of each column, 0 for none
         for col, row in placement.markers:
             rows[col - 1] = row
-    heights = board.heights
-    prev = [0] * (board.n_rows + 1)
+    tails: list[int] = []
     out = [0]
-    for col, height in enumerate(heights, start=1):
-        cur = prev[:height + 1]
-        row = rows[col - 1]
+    top = board.heights[0]  # the highest vertex of the stretch to write
+    for row, low in zip(rows, board.heights[1:] + (0,)):
         if row:
-            value = prev[row - 1] + 1
-            while row <= height and cur[row] < value:
-                cur[row] = value
-                row += 1
-        lowest = heights[col] if col < len(heights) else 0
-        out.extend(reversed(cur[lowest:]))
-        prev = cur
+            k = bisect_left(tails, row)
+            if k == len(tails):
+                tails.append(row)
+            else:
+                tails[k] = row
+        k = bisect_right(tails, top)
+        while k and (t := tails[k - 1]) > low:
+            out += [k] * (top - t + 1)  # the vertices t..top hold k
+            top = t - 1
+            k -= 1
+        out += [k] * (top - low + 1)
+        top = low
     return tuple(out)
 
 

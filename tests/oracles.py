@@ -8,7 +8,8 @@ prefix, every dead end.  None is used by the library.
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from rookbij.board import DOWN, RIGHT, Board, BorderPath, Vertex
+from rookbij.board import DOWN, RIGHT, Board, BorderPath, Vertex, format_vertex
+from rookbij.conditions import ConditionReport, Violation, _sized_sequence
 from rookbij.errors import InvalidPlacement, ReconstructionFailure
 from rookbij.placement import (
     PATTERN_231,
@@ -48,6 +49,33 @@ def border_values(board: Board, placement) -> tuple[int, ...]:
     """The ``s_grid`` values read along the border, top-left corner first."""
     grid = s_grid(board, placement)
     return tuple(grid[v] for v in board.border_path.vertices)
+
+
+def s_sequence_by_columns(board: Board, placement) -> tuple[int, ...]:
+    """The border sequence swept column by column by the growth rule of
+    ``s_grid``, keeping only the previous column and reading each column's
+    border vertices as the sweep passes them: O(n h) for n columns and
+    longest column h.  Column values never decrease upwards, so below the
+    marker NE = NW, and above it NE = max(NW, marker value)."""
+    placement.validate_on(board)
+    rows = [0] * board.n_cols  # the marker row of each column, 0 for none
+    for col, row in placement.markers:
+        rows[col - 1] = row
+    heights = board.heights
+    prev = [0] * (board.n_rows + 1)
+    out = [0]
+    for col, height in enumerate(heights, start=1):
+        cur = prev[:height + 1]
+        row = rows[col - 1]
+        if row:
+            value = prev[row - 1] + 1
+            while row <= height and cur[row] < value:
+                cur[row] = value
+                row += 1
+        lowest = heights[col] if col < len(heights) else 0
+        out.extend(reversed(cur[lowest:]))
+        prev = cur
+    return tuple(out)
 
 
 def lis_in_rectangle(markers: Iterable[tuple[int, int]], x: int, y: int) -> int:
@@ -338,3 +366,30 @@ def rebuild_by_slicing(board: Board, seq: tuple[int, ...], pattern: Pattern) -> 
     except InvalidPlacement as exc:
         raise ReconstructionFailure(str(exc)) from exc
     return result
+
+
+def check_by_steps(board: Board, seq, pattern: Pattern) -> ConditionReport:
+    """The 231- or 312-conditions, violations in the order monotonicity,
+    zero, diagonal, each step's direction read off ``border_path.steps`` and
+    every diagonal pair rendered from ``border_path.vertices``."""
+    diagonal_le = {PATTERN_231: True, PATTERN_312: False}[pattern]
+    seq = _sized_sequence(board, seq)
+    path = board.border_path
+    violations = []
+    for i, step in enumerate(path.steps):
+        if seq[i + 1] - seq[i] not in ((0, 1) if step == RIGHT else (-1, 0)):
+            violations.append(Violation(
+                "monotonicity", (i, i + 1), f"border indices {i}-{i + 1}: {seq[i]} -> {seq[i + 1]}"))
+    last = len(seq) - 1
+    for i in (0, last):
+        if seq[i] != 0:
+            violations.append(Violation("zero", (i,), f"border index {i} must be 0, got {seq[i]}"))
+    for i in range(last):
+        if seq[i] == 0 == seq[i + 1]:
+            violations.append(Violation("zero", (i, i + 1), f"border indices {i}-{i + 1}"))
+    glyph = "<" if diagonal_le else ">"
+    for i, j in board.diagonal_pairs:
+        if seq[i] > seq[j] if diagonal_le else seq[i] < seq[j]:
+            violations.append(Violation("diagonal", (i, j), f"{format_vertex(path.vertices[i])}"
+                                        f"{glyph}{format_vertex(path.vertices[j])}"))
+    return ConditionReport(tuple(violations))

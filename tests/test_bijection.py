@@ -65,10 +65,16 @@ def test_plus_transform_examples(heights, seq, expected):
 
 
 def test_plus_transform_errors():
-    with pytest.raises(OutOfRange):
-        plus_transform(Board((2, 2)), (0, 1, 3, 1, 0))
-    with pytest.raises(OutOfRange):
-        plus_transform(Board((2, 2)), (0, 1, -1, 1, 0))
+    # the first value outside [0, N], N the marker-count profile 0,1,2,1,0
+    for seq, text in [
+        ((0, 1, 3, 1, 0), "value 3 at border index 2 outside [0, 2]"),
+        ((0, 2, 3, 1, 0), "value 2 at border index 1 outside [0, 1]"),
+        ((0, 1, -1, 1, 0), "value -1 at border index 2 outside [0, 2]"),
+        ((0, 1, 2, 2, -1), "value 2 at border index 3 outside [0, 1]"),
+    ]:
+        with pytest.raises(OutOfRange) as info:
+            plus_transform(Board((2, 2)), seq)
+        assert str(info.value) == text
     with pytest.raises(LengthMismatch):
         plus_transform(Board((2, 2)), (0, 1, 0))
 

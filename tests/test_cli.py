@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rookbij.bijection import alpha
 from rookbij.board import Board
 from rookbij.cli import main
 from rookbij.enumeration import (
@@ -405,6 +406,17 @@ def test_map_takes_the_identity_on_the_1000_square_in_seconds():
     done = _limited_cli("map", "--board", square, "--placement", identity, "--alpha", timeout=5)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == ",".join(f"{c}:{1001 - c}" for c in range(1, 1001)) + "\n"
+
+
+def test_map_takes_a_seeded_avoider_on_the_1000_square_in_seconds():
+    # the border statistic, its plus_transform and the rebuild's self-check on
+    # 2001 border vertices, with chains of every length
+    board = Board((1000,) * 1000)
+    p = FullPlacement(random_231_avoider(random.Random(25), list(range(1, 1001))))
+    done = _limited_cli("map", "--board", ",".join(["1000"] * 1000),
+                        "--placement", format_placement(p, board), "--alpha", timeout=5)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == format_placement(alpha(board, p), board) + "\n"
 
 
 @pytest.mark.parametrize("pattern", ["231", "312"])

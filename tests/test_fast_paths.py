@@ -23,6 +23,7 @@ from rookbij.bijection import (
     beta_general,
 )
 from rookbij.board import Board
+from rookbij.conditions import check_231, check_312
 from rookbij.enumeration import (
     _END,
     _border_rules,
@@ -38,10 +39,12 @@ from rookbij.errors import ReconstructionFailure, RookbijError
 from rookbij.placement import (
     PATTERN_231,
     PATTERN_312,
+    FullPlacement,
     Pattern,
     Placement,
     _closes,
     avoids,
+    inverse_placement,
     pattern_witness,
     s_sequence,
 )
@@ -50,6 +53,7 @@ from oracles import (
     border_rules_by_path,
     border_sequences_by_search,
     border_values,
+    check_by_steps,
     closes_by_scan,
     count_avoiders_by_filter,
     diagonal_pairs_by_scan,
@@ -58,6 +62,7 @@ from oracles import (
     profile_by_steps,
     rebuild_by_slicing,
     rook_placements_by_recursion,
+    s_sequence_by_columns,
 )
 from strategies import random_231_avoider, random_board_above
 
@@ -73,6 +78,52 @@ def placements_within_4():
 def test_s_sequence_matches_grid_within_4(placements_within_4):
     for board, p in placements_within_4:
         assert s_sequence(board, p) == border_values(board, p), (board, p)
+
+
+def test_patience_tails_match_column_sweep_on_the_1000_square():
+    # the identity (one chain of 1000 tails), the reversal (one tail), a
+    # seeded 231-avoider and a seeded partial placement of its markers
+    board = Board((1000,) * 1000)
+    rng = random.Random(25)
+    avoider = FullPlacement(random_231_avoider(rng, list(range(1, 1001))))
+    part = Placement(rng.sample(sorted(avoider.markers), 600))
+    for p in (FullPlacement(range(1, 1001)), FullPlacement(range(1000, 0, -1)), avoider, part):
+        assert s_sequence(board, p) == s_sequence_by_columns(board, p)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_patience_tails_match_column_sweep_on_wide_boards(seed):
+    # the boards and placements of test_reconstruct_round_trip_on_wide_boards:
+    # a 231-avoider of 10-300 columns on a board drawn above it, its alpha
+    # image, its reflection on the conjugate board and a partial placement
+    rng = random.Random(seed)
+    n = rng.randint(10, 300)
+    p = FullPlacement(random_231_avoider(rng, list(range(1, n + 1))))
+    board = random_board_above(rng, p.perm)
+    part = Placement(rng.sample(sorted(p.markers), rng.randint(1, n)))
+    conj = board.conjugate()
+    for b, q in [(board, p), (board, alpha(board, p)), (board, part),
+                 (conj, inverse_placement(board, p))]:
+        assert s_sequence(b, q) == s_sequence_by_columns(b, q)
+
+
+@pytest.mark.parametrize("pattern", [PATTERN_231, PATTERN_312], ids=str)
+def test_checker_matches_step_walk_on_every_small_sequence_within_3(pattern):
+    # the inputs of test_rebuild_matches_brute_force_on_every_small_sequence_within_3:
+    # every report, kinds, indices, text and order, against the walk of the steps
+    check = {PATTERN_231: check_231, PATTERN_312: check_312}[pattern]
+    for board in boards_within(3):
+        for s in product(range(-1, 3), repeat=board.n_cols + board.n_rows + 1):
+            assert check(board, s) == check_by_steps(board, s, pattern), (board, s)
+
+
+def test_passing_check_builds_no_border_path():
+    # a passing check renders no vertex; a failing diagonal renders two
+    board = Board((3, 3, 3))
+    assert check_231(board, (0, 1, 1, 2, 2, 1, 0)).verdict
+    assert "border_path" not in board.__dict__
+    assert check_312(board, (0, 1, 1, 2, 2, 1, 0)).lines() == ["DIAGONAL at (2,3)>(3,2)"]
+    assert "border_path" in board.__dict__
 
 
 @pytest.mark.parametrize("pattern", PATTERNS, ids=str)
@@ -209,6 +260,7 @@ def test_border_rules_match_step_walk_on_wide_boards(seed):
     # board of 20-1000 columns drawn above a random 231-avoider holds far
     # more; with a column added or its last column cut it has no full
     # placement, and neither has a partition of as many random heights.
+    # The one-pass profile, negative entries included, is held to the walk too.
     rng = random.Random(seed)
     n = rng.randint(20, 1000)
     full = random_board_above(rng, random_231_avoider(rng, list(range(1, n + 1))))
@@ -219,7 +271,9 @@ def test_border_rules_match_step_walk_on_wide_boards(seed):
     assert not any(board.admits_full_placement() for board in others)
     for board in [full, *others]:
         assert _border_rules(board) == border_rules_by_path(board), board
+        assert board.marker_count_profile == profile_by_steps(board), board
     assert _deepest_nesting(_border_rules(full)) > 8
+    assert min(others[1].marker_count_profile) < 0
 
 
 def test_border_rules_nest_a_pair_per_column_on_the_1000_square():
