@@ -6,7 +6,6 @@ board's right/up border, index 0 at the top-left corner.
 
 from __future__ import annotations
 
-from operator import sub
 from typing import NamedTuple
 
 from .board import Board, _int_field, format_vertex
@@ -69,8 +68,9 @@ def _check(board: Board, seq, diagonal_le: bool) -> ConditionReport:
     # Along the border path a rightward step may raise the value by 0 or 1,
     # a downward step may lower it by 0 or 1.
     profile = board.marker_count_profile
-    for i, (delta, step) in enumerate(zip(map(sub, seq[1:], seq), map(sub, profile[1:], profile))):
-        if delta and delta != step:
+    for i in range(len(seq) - 1):
+        delta = seq[i + 1] - seq[i]
+        if delta and delta != profile[i + 1] - profile[i]:
             violations.append(Violation(
                 "monotonicity", (i, i + 1),
                 f"border indices {i}-{i + 1}: {seq[i]} -> {seq[i + 1]}"))
