@@ -45,8 +45,8 @@ class BorderPath(NamedTuple):
 def _border_xy(heights: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """The x and the y of every vertex of the border path, top-left corner
     first: down each column's left edge to its height, right along its top,
-    and after the last column down to (n_cols, 0).  Only ``border_path``
-    builds them; the profile and the rule table walk the heights themselves."""
+    and after the last column down to (n_cols, 0).  ``border_path`` and the
+    l1 sweep read them; the profile and the rule table walk the heights."""
     y = heights[0]
     xs, ys = [0], [y]
     for x, h in enumerate(heights):

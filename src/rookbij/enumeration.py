@@ -11,6 +11,7 @@ import os
 from bisect import insort
 from itertools import combinations
 from math import comb, prod
+from operator import lt
 from time import perf_counter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -25,7 +26,7 @@ from .bijection import (
     expand,
     plus_transform,
 )
-from .board import RIGHT, Board, _border_rules
+from .board import Board, _border_rules, _border_xy
 from .conditions import format_sequence
 from .errors import ParseError, RookbijError
 from .placement import (
@@ -36,6 +37,7 @@ from .placement import (
     Placement,
     _by_column,
     _closes,
+    _reflect,
     avoids,
     format_placement,
 )
@@ -70,7 +72,8 @@ def full_placements(board: Board) -> Iterator[FullPlacement]:
 
     Fills the columns from the tallest and takes a row only when the rest can
     still be completed (``_completable_rows``), so it never backtracks out of
-    a dead end.  Iterative, so no column count reaches the recursion limit.
+    a dead end; the last column takes the one row left.  Iterative, so no
+    column count reaches the recursion limit.
     """
     return _filled(board, False, False)
 
@@ -110,12 +113,18 @@ def _filled(board: Board, tested: bool, prune: bool) -> Iterator:
             held[col + 1] = has_231, has_312
         free.remove(row)
         perm.append(row)
-        if col + 1 < n:
+        if len(free) > 1:
             pending.append(iter(_completable_rows(heights, free)))
-        elif tested:
-            yield FullPlacement(tuple(perm)), has_231, has_312
-        else:
-            yield FullPlacement(tuple(perm))
+            continue
+        # The last column takes the one free row left, if any, at once.
+        if tested and free and not (has_231 and has_312):
+            found_231, found_312 = _closes(perm, free[0], heights[-1])
+            has_231 = has_231 or found_231
+            has_312 = has_312 or found_312
+            if prune and has_231 and has_312:
+                continue
+        placement = FullPlacement(perm + free)
+        yield (placement, has_231, has_312) if tested else placement
 
 
 def _completable_rows(heights: tuple[int, ...], free: list[int]) -> list[int]:
@@ -125,23 +134,20 @@ def _completable_rows(heights: tuple[int, ...], free: list[int]) -> list[int]:
 
     On a Ferrers board the shorter columns can be filled exactly when, for
     each i, the i-th smallest free row left is at most the i-th shortest
-    column (Hall's condition).  Taking the t-th smallest free row leaves the
-    i-th smallest in place i for i < t and moves the (i + 1)-th into place i
-    for i >= t.  So t runs from just after the last i whose (i + 1)-th
-    smallest free row is above the i-th shortest column, up to the first i
-    whose i-th smallest is.
+    column (Hall's condition).  ``_filled`` keeps the invariant that its free
+    rows meet this condition for the m columns from n - m + 1 on: the full
+    board does by ``admits_full_placement``, and each completable row taken
+    keeps it.  So the rows below the one taken stay within their bounds, and
+    every free row fits column n - m + 1.  Taking the t-th smallest free row
+    moves the (i + 1)-th into place i for i >= t, so t runs from just after
+    the last i whose (i + 1)-th smallest free row is above the i-th shortest
+    column, found by one downward scan, through the largest free row.
     """
-    m = len(free)
     n = len(heights)
-    col_height = heights[n - m]
-    lo, hi = 0, m - 1
-    for j in range(m - 1):
-        cap = heights[n - 1 - j]  # the (j + 1)-th shortest of the shorter columns
-        if free[j] > cap and j < hi:
-            hi = j
-        if free[j + 1] > cap:
-            lo = j + 1
-    return [row for row in free[lo:hi + 1] if row <= col_height]
+    lo = len(free) - 1
+    while lo and free[lo] <= heights[n - lo]:
+        lo -= 1
+    return free[lo:]
 
 
 def full_placement_count(board: Board) -> int:
@@ -419,27 +425,30 @@ class SweepReport(NamedTuple):
 
 def _check_l1(board: Board) -> list[Failure]:
     # Marker counts in R(V) must match the placement-independent profile.
-    # The count follows the border: a rightward step takes in the new
-    # column's marker if it is at or below y, a downward step drops the
-    # marker of the row left behind if it is at or left of x.
+    # The count follows the border, walked once per board as (rightward, x,
+    # y) per vertex from the border's coordinates, not from the profile it
+    # checks: a rightward step takes in the new column's marker if it is at
+    # or below y, a downward step drops the marker of the row left behind
+    # if it is at or left of x.  The top-left corner is the one vertex with
+    # x = 0: no step leads into it, and its R(V) is empty.
     failures = []
     profile = board.marker_count_profile
-    path = board.border_path
+    xs, ys = _border_xy(board.heights)
+    walk = list(zip(map(lt, [0] + xs, xs), xs, ys))
     for p in full_placements(board):
         perm = p.perm
-        col_of = {row: col for col, row in enumerate(perm, start=1)}
+        col_of = _reflect(perm)  # col_of[r - 1]: the column of row r's marker
         count = 0
-        for idx, v in enumerate(path.vertices):
-            if idx:
-                if path.steps[idx - 1] == RIGHT:
-                    count += perm[v.x - 1] <= v.y
-                else:
-                    count -= col_of[v.y + 1] <= v.x
-            if count != profile[idx]:
+        for (rightward, x, y), expected in zip(walk, profile):
+            if rightward:
+                count += perm[x - 1] <= y
+            elif x:
+                count -= col_of[y] <= x
+            if count != expected:
                 failures.append(Failure(
                     board, "l1",
                     f"placement {format_placement(p)} has {count} markers in "
-                    f"R(({v.x},{v.y})), profile says {profile[idx]}"))
+                    f"R(({x},{y})), profile says {expected}"))
     return failures
 
 

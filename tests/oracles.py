@@ -10,6 +10,7 @@ from typing import Iterable, Iterator
 
 from rookbij.board import DOWN, RIGHT, Board, BorderPath, Vertex, format_vertex
 from rookbij.conditions import ConditionReport, Violation, _sized_sequence
+from rookbij.enumeration import Failure
 from rookbij.errors import InvalidPlacement, ReconstructionFailure
 from rookbij.placement import (
     PATTERN_231,
@@ -18,6 +19,7 @@ from rookbij.placement import (
     Pattern,
     Placement,
     avoids,
+    format_placement,
     inverse_placement,
 )
 
@@ -159,6 +161,28 @@ def full_placements_by_backtracking(board: Board) -> Iterator[FullPlacement]:
                 used[row] = False
 
     yield from extend(0)
+
+
+def completable_rows_by_bounds(heights: tuple[int, ...], free: list[int]) -> list[int]:
+    """The rows in ``free`` that column n - m + 1 can take so that the m - 1
+    shorter columns after it still have a full placement in the other free
+    rows, m = len(free), ascending, for any ``free``: every Hall bound on the
+    free rows is read, and the rows above the column are filtered out.
+    Taking the t-th smallest free row leaves the i-th smallest in place i
+    for i < t and moves the (i + 1)-th into place i for i >= t.  So t runs
+    from just after the last i whose (i + 1)-th smallest free row is above
+    the i-th shortest column, up to the first i whose i-th smallest is."""
+    m = len(free)
+    n = len(heights)
+    col_height = heights[n - m]
+    lo, hi = 0, m - 1
+    for j in range(m - 1):
+        cap = heights[n - 1 - j]  # the (j + 1)-th shortest of the shorter columns
+        if free[j] > cap and j < hi:
+            hi = j
+        if free[j + 1] > cap:
+            lo = j + 1
+    return [row for row in free[lo:hi + 1] if row <= col_height]
 
 
 def rook_placements_by_recursion(board: Board) -> Iterator[Placement]:
@@ -366,6 +390,32 @@ def rebuild_by_slicing(board: Board, seq: tuple[int, ...], pattern: Pattern) -> 
     except InvalidPlacement as exc:
         raise ReconstructionFailure(str(exc)) from exc
     return result
+
+
+def check_l1_by_vertices(board: Board) -> list[Failure]:
+    """The l1 sweep's failures, walking ``border_path.vertices`` and
+    ``border_path.steps`` for every full placement of the backtracking
+    search: the marker count in R(V), followed step by step with a
+    row-to-column dict per placement, against the board's profile."""
+    failures = []
+    profile = board.marker_count_profile
+    path = board.border_path
+    for p in full_placements_by_backtracking(board):
+        perm = p.perm
+        col_of = {row: col for col, row in enumerate(perm, start=1)}
+        count = 0
+        for idx, v in enumerate(path.vertices):
+            if idx:
+                if path.steps[idx - 1] == RIGHT:
+                    count += perm[v.x - 1] <= v.y
+                else:
+                    count -= col_of[v.y + 1] <= v.x
+            if count != profile[idx]:
+                failures.append(Failure(
+                    board, "l1",
+                    f"placement {format_placement(p)} has {count} markers in "
+                    f"R(({v.x},{v.y})), profile says {profile[idx]}"))
+    return failures
 
 
 def check_by_steps(board: Board, seq, pattern: Pattern) -> ConditionReport:

@@ -4,8 +4,9 @@ import os
 import random
 import subprocess
 import sys
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
+from operator import le
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from rookbij.enumeration import (
     _border_rules,
     _sequence_walks,
     boards_within,
+    check_board,
     count_avoiders,
     full_placement_count,
     full_placements,
@@ -54,7 +56,9 @@ from oracles import (
     border_sequences_by_search,
     border_values,
     check_by_steps,
+    check_l1_by_vertices,
     closes_by_scan,
+    completable_rows_by_bounds,
     count_avoiders_by_filter,
     diagonal_pairs_by_scan,
     full_placements_by_backtracking,
@@ -126,6 +130,36 @@ def test_passing_check_builds_no_border_path():
     assert "border_path" in board.__dict__
 
 
+def test_l1_matches_vertex_walk_under_every_planted_profile_fault_within_4():
+    # each profile entry off by one either way, on a fresh board each time:
+    # every full placement fails at that vertex, in the same words and order
+    for board in boards_within(4, full_only=True):
+        profile = board.marker_count_profile
+        for index in range(len(profile)):
+            for delta in (-1, 1):
+                planted = list(profile)
+                planted[index] += delta
+                on = Board(board.heights)
+                on.__dict__["marker_count_profile"] = tuple(planted)  # the cached_property's slot
+                failures = check_board(on, "l1")
+                assert failures and failures == check_l1_by_vertices(on), (board, index, delta)
+
+
+def test_l1_failure_text():
+    board = Board((2, 2))
+    board.__dict__["marker_count_profile"] = (0, 1, 2, 2, 0)  # (2,1) holds 1 marker, not 2
+    assert [f.witness for f in check_board(board, "l1")] == [
+        "placement 12 has 1 markers in R((2,1)), profile says 2",
+        "placement 21 has 1 markers in R((2,1)), profile says 2",
+    ]
+
+
+def test_passing_l1_builds_no_border_path():
+    board = Board((4, 4, 3, 2))
+    assert check_board(board, "l1") == []
+    assert "border_path" not in board.__dict__
+
+
 @pytest.mark.parametrize("pattern", PATTERNS, ids=str)
 def test_pattern_witness_matches_scan_within_4(placements_within_4, pattern):
     for board, p in placements_within_4:
@@ -163,11 +197,17 @@ def test_tested_placements_match_the_avoids_filter_within_6():
     # The t-sweeps' flagged loop against ``full_placements`` and the public
     # check, lists in order: the split of every full placement that t4 and
     # remark take, and the pruned lists of t1 and t2, which leave out the
-    # placements holding both patterns.
+    # placements holding both patterns.  The loop's own flags, with and
+    # without pruning, are the public check's.
     for board in boards_within(6, full_only=True):
         fulls = list(full_placements(board))
-        expected = {pattern: [p for p in fulls if avoids(board, p, pattern)]
-                    for pattern in (PATTERN_231, PATTERN_312)}
+        holds = [(p, not avoids(board, p, PATTERN_231), not avoids(board, p, PATTERN_312))
+                 for p in fulls]
+        expected = {PATTERN_231: [p for p, has_231, _ in holds if not has_231],
+                    PATTERN_312: [p for p, _, has_312 in holds if not has_312]}
+        assert list(enumeration._filled(board, True, False)) == holds, board
+        assert list(enumeration._filled(board, True, True)) == \
+            [h for h in holds if not (h[1] and h[2])], board
         assert enumeration._split(board, False) == (fulls, expected), board
         either = set(expected[PATTERN_231]) | set(expected[PATTERN_312])
         assert enumeration._split(board, True) == \
@@ -346,6 +386,31 @@ def test_full_placements_match_backtracking_within_7():
     for board in boards_within(7):
         assert list(full_placements(board)) == \
             list(full_placements_by_backtracking(board)), board
+
+
+def _hall_free_rows(heights: tuple[int, ...]):
+    # Every m-set of rows meeting Hall's condition for the last m columns,
+    # its i-th smallest at most the i-th shortest of them, as the
+    # generator's free rows before column n - m + 1 always do.
+    n = len(heights)
+    for m in range(1, n + 1):
+        for free in combinations(range(1, n + 1), m):
+            if all(map(le, free, heights[::-1])):
+                yield list(free)
+
+
+def test_completable_rows_match_every_hall_bound_within_6():
+    for board in boards_within(6, full_only=True):
+        for free in _hall_free_rows(board.heights):
+            assert enumeration._completable_rows(board.heights, free) == \
+                completable_rows_by_bounds(board.heights, free), (board, free)
+
+
+def test_full_placements_are_the_permutations_under_the_heights_within_6():
+    for board in boards_within(6, full_only=True):
+        fitting = [FullPlacement(perm) for perm in permutations(range(1, board.n_cols + 1))
+                   if all(map(le, perm, board.heights))]
+        assert list(full_placements(board)) == fitting, board
 
 
 def test_rook_placements_match_recursion_within_5():
