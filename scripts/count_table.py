@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Tabulate avoider counts over all boards within an n-by-n box.
 
-Counts full placements avoiding each requested pattern per board, flags any
-231/312 disagreement, and totals the per-size distribution.  The n-by-n rows
-reproduce the Catalan numbers.
+Counts full placements avoiding each requested pattern per board, flags every
+board whose counts differ among the requested patterns, and totals the
+per-size distribution.  The n-by-n rows reproduce the Catalan numbers.
 """
 
 import argparse

@@ -102,13 +102,11 @@ def reconstruct_312(board: Board, seq) -> FullPlacement:
 
 
 def _rebuild(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPlacement:
-    """``_raw_rebuild``, self-checked: the result's sequence, the one the
-    board holds or else a computed one, must be ``seq``; the board then holds it."""
+    """``_raw_rebuild``, self-checked: the result's sequence (``_sequence``)
+    must be ``seq``."""
     result = _raw_rebuild(board, seq, pattern)
-    sequences = board._sequences
-    if (sequences.get(result) or _s_sequence(board, result)) != seq:
+    if _sequence(board, result) != seq:
         raise ReconstructionFailure("reconstructed placement does not reproduce the sequence")
-    sequences[result] = seq
     return result
 
 
@@ -163,8 +161,8 @@ def _raw_rebuild(board: Board, seq: tuple[int, ...], pattern: Pattern) -> FullPl
 
 
 def _sequence(board: Board, placement: FullPlacement) -> tuple[int, ...]:
-    """The placement's border sequence: the board's memo, filled on a miss.
-    ``_rebuild`` reads the memo too, and stores only past its self-check."""
+    """The placement's border sequence from the board's memo, filled on a
+    miss, so it holds only true sequences; the memo's one accessor."""
     seq = board._sequences.get(placement)
     if seq is None:
         seq = board._sequences[placement] = _s_sequence(board, placement)

@@ -35,7 +35,6 @@ from .placement import (
     FullPlacement,
     Pattern,
     Placement,
-    _by_column,
     _closes,
     _reflect,
     avoids,
@@ -452,25 +451,18 @@ def _check_l1(board: Board) -> list[Failure]:
     return failures
 
 
-def _avoiders(board: Board, placements: Iterable,
-              context: CompactionContext | None = None) -> dict[Pattern, list]:
-    # The sweeps generate the placements on the board, so each is tested
-    # unchecked: ``_closes`` on each marker in column order, stopping once
-    # both patterns are found.  With a compaction class, the placements are
-    # full placements of its compact board, each tested expanded onto the
-    # board.
+def _avoiders(board: Board, fulls: Iterable[FullPlacement],
+              context: CompactionContext) -> dict[Pattern, list]:
+    # Remark's class test: the full placements of a class's compact board,
+    # expanded onto the board, each tested unchecked by ``_closes`` on each
+    # marker in column order until both patterns are found.
     heights = board.heights
-    if context is not None:  # lift[r]: the board row of compact row r
-        cols, lift = context.occupied_cols, (0,) + context.occupied_rows
+    cols, lift = context.occupied_cols, (0,) + context.occupied_rows  # lift[r]: board row of r
     a231, a312 = [], []
-    for p in placements:
-        if context is None:
-            markers = _by_column(p)
-        else:
-            markers = zip(cols, [lift[r] for r in p.perm])
+    for p in fulls:
         rows: list[int] = []
         has_231 = has_312 = False
-        for col, row in markers:
+        for col, row in zip(cols, [lift[r] for r in p.perm]):
             found_231, found_312 = _closes(rows, row, heights[col - 1])
             has_231 = has_231 or found_231
             has_312 = has_312 or found_312
@@ -597,9 +589,13 @@ def _check_t4(board: Board) -> list[Failure]:
     failures = _check_bijection(board, "t4", avoiders[PATTERN_231], avoiders[PATTERN_312])
     for p in placements:
         seq = _sequence(board, p)
-        if plus_transform(board, plus_transform(board, seq)) != seq:
+        try:
+            if plus_transform(board, plus_transform(board, seq)) != seq:
+                failures.append(Failure(
+                    board, "t4", f"plus_transform not involutive on {format_sequence(seq)}"))
+        except RookbijError as exc:
             failures.append(Failure(
-                board, "t4", f"plus_transform not involutive on {format_sequence(seq)}"))
+                board, "t4", f"plus_transform failed on {format_sequence(seq)}: {exc}"))
     return failures
 
 
@@ -636,7 +632,7 @@ def _check_remark(board: Board) -> list[Failure]:
     # runs once per class, cross-checking its board and re-indexing.  The
     # count line comes first, then each class's failures in (size, columns,
     # rows) order.
-    n_231 = n_312 = 1  # the empty placement
+    counts = {PATTERN_231: 1, PATTERN_312: 1}  # avoiders per pattern, the empty placement too
     failures = []
     splits: dict[tuple[int, ...], tuple] = {}  # per compact heights: placements, avoiders
     for context in _compaction_classes(board):
@@ -656,19 +652,18 @@ def _check_remark(board: Board) -> list[Failure]:
                 f"{compacted!r}, its class is {context!r}"))
         found = _avoiders(board, fulls, context)
         for pattern, avoiders in found.items():
+            counts[pattern] += len(avoiders)
             if avoiders != kept[pattern]:
                 moved = ",".join(format_placement(expand(context, p), board) for p in fulls
                                  if (p in avoiders) != (p in kept[pattern]))
                 failures.append(Failure(
                     board, "remark", f"compaction changes the {pattern}-avoidance of {{{moved}}}"))
-        n_231 += len(found[PATTERN_231])
-        n_312 += len(found[PATTERN_312])
         if fresh:
             failures.extend(_check_bijection(
                 board, "remark", kept[PATTERN_231], kept[PATTERN_312], context))
-    if n_231 != n_312:
-        failures.insert(0, Failure(
-            board, "remark", f"{n_231} placements avoid 231 but {n_312} avoid 312"))
+    if counts[PATTERN_231] != counts[PATTERN_312]:
+        failures.insert(0, Failure(board, "remark", f"{counts[PATTERN_231]} placements avoid "
+                                   f"231 but {counts[PATTERN_312]} avoid 312"))
     return failures
 
 
@@ -705,13 +700,11 @@ def check_board(board: Board, theorem: str) -> list[Failure]:
 
 
 def _board_failures(board: Board, tags: tuple[str, ...]) -> list[Failure]:
-    # A fresh copy of the board keeps what the checks cache on it, so the
-    # caches go when its checks end, not when the sweep does.
+    # ``verify`` refused bad boards and tags before any work.  A fresh copy
+    # of the board keeps what the checks cache on it, so the caches go when
+    # its checks end, not when the sweep does.
     board = Board(board.heights)
-    out: list[Failure] = []
-    for tag in tags:
-        out.extend(check_board(board, tag))
-    return out
+    return [failure for tag in tags for failure in _CHECKS[tag](board)]
 
 
 def _require_sweep_bound(max_n: int) -> None:

@@ -389,7 +389,8 @@ def test_reconstruct_self_checks_a_wrong_rebuild(monkeypatch, reconstruct, patte
         with pytest.raises(ReconstructionFailure,
                            match="reconstructed placement does not reproduce the sequence"):
             reconstruct(target, seq)
-    assert not fresh._sequences  # a failed self-check keeps nothing
+    # a failed self-check keeps the wrong placement's true sequence only
+    assert fresh._sequences == {wrong: s_sequence(board, wrong)}
 
 
 def test_public_maps_take_no_flags():

@@ -7,9 +7,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given
 
-from rookbij import bijection, enumeration
+from rookbij import bijection, cli, enumeration
 from rookbij.bijection import expand
 from rookbij.board import Board
+from rookbij.conditions import format_sequence
 from rookbij.enumeration import (
     boards_within,
     check_board,
@@ -153,16 +154,18 @@ def test_valid_sequences_match_avoiders():
 
 
 def test_sweep_avoiders_match_public_avoids_within_5():
-    # The sweeps search their own placements unchecked; the lists, in order,
-    # are those of the public check: the full placements within 5x5, as the
-    # t-sweeps split them, and every rook placement within 4x4, as remark does.
-    cases = [(board, full_placements) for board in boards_within(5)]
-    cases += [(board, rook_placements) for board in boards_within(4)]
-    for board, placements in cases:
-        found = enumeration._avoiders(board, placements(board))
-        for pattern in (PATTERN_231, PATTERN_312):
-            assert found[pattern] == \
-                [p for p in placements(board) if avoids(board, p, pattern)], board
+    # Remark tests each class's placements unchecked, expanded onto the
+    # board; the lists, in order, are those of the public check on the
+    # expanded placements, for every class within 5x5.  (The t-sweeps' split
+    # of the full placements within 6x6 is held against the public check by
+    # test_tested_placements_match_the_avoids_filter_within_6.)
+    for board in boards_within(5):
+        for context in enumeration._compaction_classes(board):
+            fulls = list(full_placements(context.compact_board))
+            found = enumeration._avoiders(board, fulls, context)
+            for pattern in (PATTERN_231, PATTERN_312):
+                assert found[pattern] == [p for p in fulls
+                                          if avoids(board, expand(context, p), pattern)], board
 
 
 def test_compaction_classes_split_the_rook_placements_within_5():
@@ -186,8 +189,8 @@ def test_compaction_classes_split_the_rook_placements_within_5():
         rooks = [p.markers for p in rook_placements(board)]
         assert len(expanded) == len(set(expanded)) == len(rooks), board
         assert set(expanded) == set(rooks), board
-        found = enumeration._avoiders(board, rook_placements(board))
-        assert counts == [len(found[PATTERN_231]), len(found[PATTERN_312])], board
+        assert counts == [sum(avoids(board, p, pattern) for p in rook_placements(board))
+                          for pattern in (PATTERN_231, PATTERN_312)], board
 
 
 def test_sweeps_and_witness_search_leave_no_cyclic_garbage():
@@ -635,6 +638,25 @@ def test_t4_reports_planted_reconstruction_faults(monkeypatch, heights, name):
     monkeypatch.setattr(bijection, "_rebuild", wrong)
     failures = check_board(Board(heights), "t4")
     assert planted and failures and all(f.theorem == "t4" for f in failures)
+
+
+def test_t4_reports_a_planted_out_of_range_sequence(monkeypatch, capsys):
+    # Every sequence read holds a value above the profile, so plus_transform
+    # raises on each; t4 reports each as a failure, in the library and the
+    # CLI, instead of raising.
+    real = bijection._s_sequence
+    monkeypatch.setattr(bijection, "_s_sequence", lambda b, p: (0, 6) + real(b, p)[2:])
+    board = Board((3, 3, 3))
+    error = "value 6 at border index 1 outside [0, 1]"
+    involution = [f"plus_transform failed on 0,6,{format_sequence(real(board, p)[2:])}: {error}"
+                  for p in full_placements(board)]
+    failures = check_board(board, "t4")
+    assert all(f.theorem == "t4" for f in failures)
+    assert [f.witness for f in failures[-6:]] == involution
+    assert cli.main(["verify", "--board", "3,3,3", "--theorem", "t4"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("theorem ")
+    assert out.endswith("".join(f"FAIL t4 board 3,3,3: {f.witness}\n" for f in failures))
 
 
 @pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])
