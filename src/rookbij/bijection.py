@@ -6,15 +6,18 @@ so transforming sequences transforms placements: ``plus_transform`` flips a
 routines rebuild the unique avoiding placement from its sequence.  ``alpha``
 and ``beta`` chain the two and are mutually inverse; ``compact``/``expand``
 extend them to arbitrary (partial) rook placements.  Each public function
-checks its input, then calls a private core keyed by pattern, which the sweeps
-call directly; every reconstruction self-checks its result (``_rebuild``).
+checks its input, then calls a private core given its pattern, which the
+sweeps call directly; every reconstruction self-checks its result
+(``_rebuild``).  A core picks the checker for its pattern from the module's
+globals on every call, so a function replaced at run time (say, by a tracer)
+is the one called.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from operator import le
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .board import Board, _conjugate_heights
 from .conditions import _sized_sequence, check_231, check_312
@@ -52,26 +55,6 @@ def plus_transform(board: Board, seq) -> tuple[int, ...]:
     return tuple([n + 1 - s if s else 0 for s, n in zip(seq, profile)])
 
 
-class _Side(NamedTuple):
-    """One pattern's side of the bijection; ``image`` is the pattern its map images avoid."""
-
-    check: Callable
-    reconstruct: Callable
-    map_general: Callable
-    image: Pattern
-
-
-def _side(pattern: Pattern) -> _Side:
-    """A pattern's side of the bijection, resolved on every call, not kept in
-    a table built at import, so a module attribute replaced at run time (say,
-    by a tracer) is the one called."""
-    if pattern == PATTERN_231:
-        return _Side(check_231, reconstruct_231, alpha_general, PATTERN_312)
-    if pattern == PATTERN_312:
-        return _Side(check_312, reconstruct_312, beta_general, PATTERN_231)
-    raise ValueError(f"no condition checker for pattern {pattern}")
-
-
 def _require_avoider(board: Board, placement, pattern: Pattern) -> None:
     witness = pattern_witness(board, placement, pattern)
     if witness is not None:
@@ -85,7 +68,7 @@ def _reconstruct(board: Board, seq, pattern: Pattern) -> FullPlacement:
     if not board.square_bounded():
         raise ConditionViolation(
             "board's longest row and column differ; no full placement exists")
-    report = _side(pattern).check(board, seq)
+    report = (check_231 if pattern == PATTERN_231 else check_312)(board, seq)
     if not report.verdict:
         raise ConditionViolation("; ".join(report.lines()))
     return _rebuild(board, seq, pattern)
@@ -170,8 +153,8 @@ def _sequence(board: Board, placement: FullPlacement) -> tuple[int, ...]:
 
 
 def _map_full(board: Board, placement: FullPlacement, avoided: Pattern) -> FullPlacement:
-    return _rebuild(board, plus_transform(board, _sequence(board, placement)),
-                    _side(avoided).image)
+    image = PATTERN_312 if avoided == PATTERN_231 else PATTERN_231
+    return _rebuild(board, plus_transform(board, _sequence(board, placement)), image)
 
 
 def alpha(board: Board, placement) -> FullPlacement:

@@ -11,9 +11,15 @@ import sys
 from functools import cache
 from typing import Callable
 
-from .bijection import _side, compact
+from .bijection import (
+    alpha_general,
+    beta_general,
+    compact,
+    reconstruct_231,
+    reconstruct_312,
+)
 from .board import Board, _int_field, parse_board
-from .conditions import format_sequence, parse_sequence
+from .conditions import check_231, check_312, format_sequence, parse_sequence
 from .enumeration import (
     THEOREM_TAGS,
     SweepReport,
@@ -33,8 +39,6 @@ from .errors import (
     ReconstructionFailure,
 )
 from .placement import (
-    PATTERN_231,
-    PATTERN_312,
     Pattern,
     Placement,
     _permutation_rows,
@@ -79,7 +83,7 @@ def cmd_map(args, board: Board) -> _Result:
     placement = parse_placement(args.placement, board)
     direction = "alpha" if args.alpha else "beta"
     # Compacting a full placement is the identity, so one map serves both kinds.
-    image = _side(PATTERN_231 if args.alpha else PATTERN_312).map_general(board, placement)
+    image = (alpha_general if args.alpha else beta_general)(board, placement)
     return 0, [format_placement(image, board)], lambda: {
         "placement": _placement_json(placement, board),
         "direction": direction,
@@ -88,7 +92,7 @@ def cmd_map(args, board: Board) -> _Result:
 
 def cmd_check(args, board: Board) -> _Result:
     seq = parse_sequence(args.seq)
-    report = _side(Pattern.parse(args.pattern)).check(board, seq)
+    report = (check_231 if args.pattern == "231" else check_312)(board, seq)
     return 0 if report.verdict else 1, report.lines() or ["pass"], lambda: {
         "sequence": list(seq), "pattern": args.pattern, "verdict": report.verdict,
         "violations": [{"kind": v.kind, "indices": list(v.indices), "detail": v.detail}
@@ -97,7 +101,7 @@ def cmd_check(args, board: Board) -> _Result:
 
 def cmd_reconstruct(args, board: Board) -> _Result:
     seq = parse_sequence(args.seq)
-    placement = _side(Pattern.parse(args.pattern)).reconstruct(board, seq)
+    placement = (reconstruct_231 if args.pattern == "231" else reconstruct_312)(board, seq)
     return 0, [format_placement(placement, board)], lambda: {
         "sequence": list(seq), "pattern": args.pattern,
         "placement": _placement_json(placement, board)}

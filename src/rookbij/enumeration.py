@@ -21,13 +21,12 @@ from .bijection import (
     _map_full,
     _rebuild,
     _sequence,
-    _side,
     compact,
     expand,
     plus_transform,
 )
 from .board import Board, _border_rules, _border_xy
-from .conditions import format_sequence
+from .conditions import check_231, check_312, format_sequence
 from .errors import ParseError, RookbijError
 from .placement import (
     PATTERN_231,
@@ -376,10 +375,13 @@ def valid_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]
     through the full checker, whose diagonal conditions cover every in-board
     pair, as a cross-check, which rejects none.  On a square-bounded board
     these are exactly the border sequences of the pattern's avoiders
-    (theorem t2).  Raises ParseError, before it yields anything, once the
-    walk keeps more than MAX_WALK_SHAPES states.
+    (theorem t2).  Raises ValueError for a pattern other than 231 and 312,
+    and ParseError, before it yields anything, once the walk keeps more than
+    MAX_WALK_SHAPES states.
     """
-    checker = _side(pattern).check
+    if pattern not in (PATTERN_231, PATTERN_312):
+        raise ValueError(f"no condition checker for pattern {pattern}")
+    checker = check_231 if pattern == PATTERN_231 else check_312
     trail: list[dict] = []
     _sequence_walks(board, pattern, trail)
     # ahead[i] maps each state at index i on a complete sequence to the
@@ -741,7 +743,8 @@ def verify(boards: Board | Iterable[Board], theorem: str = "all",
     started, at most one per board and per CPU.  Reports are merged in board
     order, so output does not depend on ``parallel``.  Raises ParseError,
     before any check runs, if ``parallel`` is below 1 or a board does not
-    fit in the MAX_SWEEP_N-square box that sweeps are limited to.
+    fit in the MAX_SWEEP_N-square box that sweeps are limited to, and
+    ValueError, also before any check runs, for an unknown ``theorem`` tag.
     """
     _require_workers(parallel)
     if isinstance(boards, Board):

@@ -122,11 +122,9 @@ class FullPlacement(_Value):
                 raise InvalidPlacement(f"marker ({col},{row}) is outside the board")
 
 
-def _by_column(placement) -> tuple[tuple[int, int], ...]:
-    """The markers of a placement as (column, row) pairs, column by column."""
-    if isinstance(placement, FullPlacement):
-        return tuple(enumerate(placement.perm, start=1))
-    return tuple(sorted(placement.markers))
+# The patterns ``_first_marker`` scans for: whether a witness's middle
+# marker lies above its first.
+_MIDDLE_ABOVE = {PATTERN_231.word: True, PATTERN_312.word: False}
 
 
 def pattern_witness(board: Board, placement, pattern: Pattern):
@@ -136,30 +134,20 @@ def pattern_witness(board: Board, placement, pattern: Pattern):
     Using the bounding vertex (max column, max row) is equivalent to checking
     the restriction to R(V) for every border vertex V, since the rectangles
     R(V) are exactly the maximal rectangles inside the board.  "First" is in
-    ``combinations`` order of the markers taken column by column.  For 231
-    and 312 the answer costs O(m^2) for m markers, whether or not a witness
-    exists; other patterns run a depth-first search.  Checks the placement
-    against the board, then runs ``_pattern_witness``.
+    ``combinations`` order of the markers taken column by column.  Checks the
+    placement against the board first.  For 231 and 312, ``_first_marker``
+    finds the first marker of the first witness in O(m^2) for m markers, and
+    ``_search``, started from that marker, finishes the witness in O(m^2), so
+    the answer costs O(m^2) whether or not a witness exists; every other
+    pattern runs ``_search`` alone, a depth-first search.  The search is a
+    module function that takes its state as arguments, so a call leaves no
+    reference cycle for the garbage collector.
     """
     placement.validate_on(board)
-    return _pattern_witness(board, _by_column(placement), pattern)
-
-
-# The patterns ``_first_marker`` scans for: whether a witness's middle
-# marker lies above its first.
-_MIDDLE_ABOVE = {PATTERN_231.word: True, PATTERN_312.word: False}
-
-
-def _pattern_witness(board: Board, markers: tuple[tuple[int, int], ...], pattern: Pattern):
-    """``pattern_witness`` on the ``_by_column`` markers of a placement known
-    to be on the board.
-
-    For 231 and 312, ``_first_marker`` finds the first marker of the first
-    witness in O(m^2), and ``_search``, started from that marker, finishes
-    the witness in O(m^2); every other pattern runs ``_search`` alone.  The
-    search is a module function that takes its state as arguments, so a
-    call leaves no reference cycle for the garbage collector.
-    """
+    if isinstance(placement, FullPlacement):
+        markers = tuple(enumerate(placement.perm, start=1))
+    else:
+        markers = tuple(sorted(placement.markers))
     heights = board.heights
     middle_above = _MIDDLE_ABOVE.get(pattern.word)
     if middle_above is None:

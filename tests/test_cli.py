@@ -99,6 +99,8 @@ JSON_GOLDEN_CASES = [
      '{"theorem":"l1","boards":1,"failures":[]},{"theorem":"t1","boards":1,"failures":[]},'
      '{"theorem":"t2","boards":1,"failures":[]},{"theorem":"t4","boards":1,"failures":[]},'
      '{"theorem":"remark","boards":1,"failures":[]}],"ok":true}'),
+    (["reconstruct", "--board", "3,3,3", "--seq", "0,1,2,2,1,1,0", "--pattern", "312"], 0,
+     '{"board":[3,3,3],"sequence":[0,1,2,2,1,1,0],"pattern":"312","placement":[2,3,1]}'),
 ]
 
 
@@ -183,6 +185,9 @@ def test_reconstruct_rejects_bad_sequence(capsys):
     code, out, _ = run(capsys, "reconstruct", "--board", "2,2",
                        "--seq", "0,0,1,1,0", "--pattern", "231")
     assert code == 1 and "ZERO" in out
+    code, out, _ = run(capsys, "reconstruct", "--board", "3,3,3",
+                       "--seq", "0,1,2,2,1,1,0", "--pattern", "231")
+    assert (code, out) == (1, "DIAGONAL at (2,3)<(3,2)\n")
     code, _, err = run(capsys, "reconstruct", "--board", "2,2",
                        "--seq", "0,1,0", "--pattern", "231")
     assert code == 2 and err

@@ -144,6 +144,11 @@ def test_valid_sequences_examples():
     assert list(valid_sequences(Board((2, 1)), PATTERN_312)) == [(0, 1, 0, 1, 0)]
 
 
+def test_valid_sequences_rejects_a_pattern_without_conditions():
+    with pytest.raises(ValueError, match="^no condition checker for pattern 123$"):
+        list(valid_sequences(Board((2, 1)), Pattern((1, 2, 3))))
+
+
 def test_valid_sequences_match_avoiders():
     for heights in [(2, 2), (3, 3, 2), (3, 3, 3), (4, 4, 3, 2)]:
         board = Board(heights)
