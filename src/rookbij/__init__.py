@@ -3,6 +3,12 @@
 Border sequences of 231- and 312-avoiding full rook placements, the
 conditions characterizing them, the sequence-level bijection between the two
 avoider sets, and exhaustive verification sweeps for every claim.
+
+The sweep layer, ``rookbij.enumeration``, loads on first use: its seven
+names here (``verify``, ``count_avoiders``, ...) resolve through the module
+``__getattr__`` below, so ``import rookbij`` and the single-shot commands
+(``sequence``, ``map``, ``check``, ``reconstruct``, ``render``,
+``compact``) never compile or run it.
 """
 
 from .bijection import (
@@ -25,15 +31,6 @@ from .conditions import (
     check_312,
     format_sequence,
     parse_sequence,
-)
-from .enumeration import (
-    SweepReport,
-    boards_within,
-    count_avoiders,
-    full_placements,
-    rook_placements,
-    valid_sequences,
-    verify,
 )
 from .errors import (
     ConditionViolation,
@@ -76,3 +73,22 @@ __all__ = [
     "RookbijError", "ParseError", "InvalidPlacement", "LengthMismatch",
     "OutOfRange", "ConditionViolation", "ReconstructionFailure", "NotAvoider",
 ]
+
+# Public names of the sweep layer, loaded from ``rookbij.enumeration`` when
+# first read (PEP 562).
+_ENUMERATION = frozenset({
+    "SweepReport", "boards_within", "count_avoiders", "full_placements",
+    "rook_placements", "valid_sequences", "verify",
+})
+
+
+def __getattr__(name: str):
+    if name in _ENUMERATION:
+        from . import enumeration
+
+        return getattr(enumeration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ENUMERATION})

@@ -20,15 +20,6 @@ from .bijection import (
 )
 from .board import Board, _int_field, parse_board
 from .conditions import check_231, check_312, format_sequence, parse_sequence
-from .enumeration import (
-    THEOREM_TAGS,
-    SweepReport,
-    _require_sweep_bound,
-    _require_workers,
-    count_avoiders,
-    default_sweep,
-    verify,
-)
 from .errors import (
     ConditionViolation,
     InvalidPlacement,
@@ -49,6 +40,11 @@ from .placement import (
 
 _INPUT_ERRORS = (ParseError, InvalidPlacement, LengthMismatch)
 _DOMAIN_ERRORS = (NotAvoider, ConditionViolation, ReconstructionFailure, OutOfRange)
+
+# verify's --theorem choices: ``enumeration.THEOREM_TAGS`` and "all", written
+# out because the parser is built for every command and only count and verify
+# load the sweep layer (each imports it in its body, at call time).
+_THEOREM_CHOICES = ("l1", "t1", "t2", "t4", "remark", "all")
 
 
 def int_option(text: str) -> int:
@@ -108,6 +104,8 @@ def cmd_reconstruct(args, board: Board) -> _Result:
 
 
 def cmd_count(args, board: Board) -> _Result:
+    from .enumeration import count_avoiders
+
     count = count_avoiders(board, Pattern.parse(args.pattern))
     return 0, [str(count)], lambda: {"pattern": args.pattern, "count": count}
 
@@ -157,12 +155,20 @@ def cmd_compact(args, board: Board) -> _Result:
 
 
 def cmd_verify(args, _board: None) -> _Result:
+    from .enumeration import (
+        THEOREM_TAGS,
+        _require_sweep_bound,
+        _require_workers,
+        default_sweep,
+        verify,
+    )
+
     if args.max_n is not None:
         _require_sweep_bound(args.max_n)
     _require_workers(args.parallel)
     board = parse_board(args.board) if args.board is not None else None
     tags = THEOREM_TAGS if args.theorem == "all" else (args.theorem,)
-    reports: list[tuple[str, SweepReport]] = []
+    reports = []
     for tag in tags:
         boards = board if board is not None else default_sweep(tag, args.max_n)
         reports.append((tag, verify(boards, tag, parallel=args.parallel)))
@@ -224,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--board", help="verify a single board instead of a sweep")
     p.add_argument("--max-n", type=int_option, default=None,
                    help="sweep bound (boards within n-by-n)")
-    p.add_argument("--theorem", default="all", choices=THEOREM_TAGS + ("all",))
+    p.add_argument("--theorem", default="all", choices=_THEOREM_CHOICES)
     p.add_argument("--parallel", type=int_option, default=1, help="worker processes (speed only)")
 
     p = command("render", cmd_render, "draw a board and placement as ASCII")

@@ -22,7 +22,8 @@ def test_traced_names_resolve():
 
 def test_tracer_sees_every_pattern_dispatch(capsys):
     # Each caller picks its pattern's checker, reconstruction or map from the
-    # module globals at call time, so the tracer's wrappers are the ones run.
+    # module globals at call time, so the tracer's wrappers are the ones run;
+    # count and verify import the sweep layer's functions when they run.
     from rookbij import cli
     from rookbij.board import Board
     from rookbij.enumeration import check_board
@@ -37,7 +38,9 @@ def test_tracer_sees_every_pattern_dispatch(capsys):
         for argv in (["check", "--board", "3,3,3", "--seq", "0,1,1,2,2,1,0", "--pattern", "312"],
                      ["reconstruct", "--board", "3,3,3", "--seq", "0,1,2,2,1,1,0",
                       "--pattern", "312"],
-                     ["map", "--board", "3,3,3", "--placement", "1:1,2:2", "--beta"]):
+                     ["map", "--board", "3,3,3", "--placement", "1:1,2:2", "--beta"],
+                     ["count", "--board", "3,3,3", "--pattern", "231"],
+                     ["verify", "--board", "2,2", "--theorem", "l1"]):
             cli.main(argv)
     finally:
         t.uninstall()
@@ -49,3 +52,5 @@ def test_tracer_sees_every_pattern_dispatch(capsys):
     assert groups["conditions.check"]["calls"] == 12
     assert groups["bijection.reconstruct"]["calls"] == 1
     assert groups["bijection.alpha_beta"]["calls"] == 1
+    assert groups["enumeration.count_avoiders"]["calls"] == 1
+    assert groups["enumeration.verify"]["calls"] == 1

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from rookbij.bijection import alpha
 from rookbij.board import Board
-from rookbij.cli import main
+from rookbij.cli import build_parser, main
 from rookbij.enumeration import (
     MAX_FILTERED_PLACEMENTS,
     THEOREM_TAGS,
@@ -465,6 +466,66 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
         fresh = subprocess.run([sys.executable, "-m", "rookbij.cli", *argv],
                                capture_output=True, text=True, timeout=60, env=_child_env())
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# Run in a fresh interpreter: each argv (one per argument, words split on
+# spaces) goes through main; prints [exit code, whether rookbij.enumeration is
+# loaded after it, stdout] per call.
+_SWEEP_LAYER_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from rookbij.cli import main
+calls = []
+for argv in sys.argv[1:]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv.split())
+    calls.append([code, "rookbij.enumeration" in sys.modules, out.getvalue()])
+print(json.dumps(calls))
+"""
+
+
+def test_single_shot_commands_leave_the_sweep_layer_unloaded():
+    single_shot = ["sequence --board 3,3,3 --placement 123",
+                   "map --board 3,3,3 --placement 123 --alpha",
+                   "check --board 3,3,3 --seq 0,1,2,2,1,1,0 --pattern 312",
+                   "reconstruct --board 3,3,3 --seq 0,1,2,2,1,1,0 --pattern 312",
+                   "render --board 3,3,3 --placement 123 --annotate",
+                   "compact --board 3,3,3 --placement 1:1,2:2"]
+    sweeps = ["count --board 3,3,3 --pattern 231", "verify --board 3,3,3 --theorem t1"]
+    out = subprocess.run([sys.executable, "-c", _SWEEP_LAYER_PROBE, *single_shot, *sweeps],
+                         capture_output=True, text=True, timeout=60, env=_child_env(),
+                         check=True).stdout
+    calls = json.loads(out)
+    assert [(code, loaded) for code, loaded, _ in calls[:len(single_shot)]] == \
+        [(0, False)] * len(single_shot)
+    (count_code, _, count_out), (verify_code, loaded, _) = calls[len(single_shot):]
+    assert (count_code, count_out) == (0, "5\n")
+    assert (verify_code, loaded) == (0, True)
+
+
+def test_verify_theorem_choices_are_the_sweep_tags():
+    # The parser writes the tags out so that building it loads no sweep code.
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    theorem = next(a for a in sub.choices["verify"]._actions if a.dest == "theorem")
+    assert tuple(theorem.choices) == THEOREM_TAGS + ("all",)
+
+
+def test_verify_help_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "verify", "--help") == (0, (
+        "usage: rookbij verify [-h] [--board BOARD] [--max-n MAX_N]\n"
+        "                      [--theorem {l1,t1,t2,t4,remark,all}]\n"
+        "                      [--parallel PARALLEL] [--json]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --board BOARD         verify a single board instead of a sweep\n"
+        "  --max-n MAX_N         sweep bound (boards within n-by-n)\n"
+        "  --theorem {l1,t1,t2,t4,remark,all}\n"
+        "  --parallel PARALLEL   worker processes (speed only)\n"
+        "  --json                emit JSON instead of text\n"), "")
 
 
 JSON_ROUNDTRIP_CASES = [

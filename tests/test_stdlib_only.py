@@ -1,6 +1,7 @@
 """The library is pure stdlib: each import under src/rookbij is relative to
 the package or names a standard-library module, and importing the package
-and its CLI loads none of the standard modules that cost cold start."""
+and its CLI loads none of the standard modules that cost cold start, nor
+the sweep layer."""
 
 import ast
 import os
@@ -29,11 +30,13 @@ def test_library_imports_only_the_standard_library():
 
 def test_import_loads_no_costly_stdlib_modules():
     # Cold start: ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
-    # ``tokenize``, and only ``--json`` output needs ``json``.
+    # ``tokenize``, only ``--json`` output needs ``json``, and only ``count``
+    # and ``verify`` need ``rookbij.enumeration``.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     code = ("import sys, rookbij, rookbij.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'json', 'rookbij.enumeration'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
