@@ -409,6 +409,9 @@ def valid_sequences(board: Board, pattern: Pattern) -> Iterator[tuple[int, ...]]
 
 
 class Failure(NamedTuple):
+    """One counterexample from a sweep: the board, the theorem tag of the
+    check that found it, and the check's witness text.  All are made by
+    ``_board_failures``."""
     board: Board
     theorem: str
     witness: str
@@ -424,7 +427,7 @@ class SweepReport(NamedTuple):
         return not self.failures
 
 
-def _check_l1(board: Board) -> list[Failure]:
+def _check_l1(board: Board) -> Iterator[str]:
     # Marker counts in R(V) must match the placement-independent profile.
     # The count follows the border, walked once per board as (rightward, x,
     # y) per vertex from the border's coordinates, not from the profile it
@@ -432,7 +435,6 @@ def _check_l1(board: Board) -> list[Failure]:
     # or below y, a downward step drops the marker of the row left behind
     # if it is at or left of x.  The top-left corner is the one vertex with
     # x = 0: no step leads into it, and its R(V) is empty.
-    failures = []
     profile = board.marker_count_profile
     xs, ys = _border_xy(board.heights)
     walk = list(zip(map(lt, [0] + xs, xs), xs, ys))
@@ -446,21 +448,18 @@ def _check_l1(board: Board) -> list[Failure]:
             elif x:
                 count -= col_of[y] <= x
             if count != expected:
-                failures.append(Failure(
-                    board, "l1",
-                    f"placement {format_placement(p)} has {count} markers in "
-                    f"R(({x},{y})), profile says {expected}"))
-    return failures
+                yield (f"placement {format_placement(p)} has {count} markers in "
+                       f"R(({x},{y})), profile says {expected}")
 
 
-def _avoiders(board: Board, fulls: Iterable[FullPlacement],
-              context: CompactionContext) -> dict[Pattern, list]:
-    # Remark's class test: the full placements of a class's compact board,
-    # expanded onto the board, each tested unchecked by ``_closes`` on each
-    # marker in column order until both patterns are found.
+def _class_flags(board: Board, fulls: Iterable[FullPlacement],
+                 context: CompactionContext) -> Iterator:
+    # Remark's class test: each full placement of a class's compact board,
+    # expanded onto the board, as (placement, holds 231, holds 312), tested
+    # unchecked by ``_closes`` on each marker in column order until both
+    # patterns are found.
     heights = board.heights
     cols, lift = context.occupied_cols, (0,) + context.occupied_rows  # lift[r]: board row of r
-    a231, a312 = [], []
     for p in fulls:
         rows: list[int] = []
         has_231 = has_312 = False
@@ -471,20 +470,15 @@ def _avoiders(board: Board, fulls: Iterable[FullPlacement],
             if has_231 and has_312:
                 break
             rows.append(row)
-        if not has_231:
-            a231.append(p)
-        if not has_312:
-            a312.append(p)
-    return {PATTERN_231: a231, PATTERN_312: a312}
+        yield p, has_231, has_312
 
 
-def _split(board: Board, prune: bool) -> tuple[list[FullPlacement], dict[Pattern, list]]:
-    # The full placements from ``_filled``'s tested loop, and the 231- and
-    # 312-avoiders among them, each in lexicographic order.  With ``prune``
-    # the placements holding both patterns are never built, and are missing
-    # from the first list.
+def _split(flagged: Iterable) -> tuple[list[FullPlacement], dict[Pattern, list]]:
+    # The placements of a (placement, holds 231, holds 312) stream, from
+    # ``_filled``'s tested loop or ``_class_flags``, and the 231- and
+    # 312-avoiders among them, each in stream order.
     placements, a231, a312 = [], [], []
-    for p, has_231, has_312 in _filled(board, True, prune):
+    for p, has_231, has_312 in flagged:
         placements.append(p)
         if not has_231:
             a231.append(p)
@@ -493,59 +487,45 @@ def _split(board: Board, prune: bool) -> tuple[list[FullPlacement], dict[Pattern
     return placements, {PATTERN_231: a231, PATTERN_312: a312}
 
 
-def _check_t1(board: Board) -> list[Failure]:
+def _check_t1(board: Board) -> Iterator[str]:
     # The border sequence determines the avoiding placement, and the
     # reconstruction inverts the sequence map.
-    failures = []
-    for pattern, avoiders in _split(board, True)[1].items():
+    for pattern, avoiders in _split(_filled(board, True, True))[1].items():
         seen: dict[tuple[int, ...], FullPlacement] = {}
         for p in avoiders:
             seq = _sequence(board, p)  # kept, so the reconstruction's self-check reads it
             if seq in seen:
-                failures.append(Failure(
-                    board, "t1",
-                    f"placements {format_placement(seen[seq])} and {format_placement(p)} "
-                    f"({pattern}-avoiding) share sequence {format_sequence(seq)}"))
+                yield (f"placements {format_placement(seen[seq])} and {format_placement(p)} "
+                       f"({pattern}-avoiding) share sequence {format_sequence(seq)}")
                 continue
             seen[seq] = p
             try:
                 rebuilt = _rebuild(board, seq, pattern)
             except RookbijError as exc:
-                failures.append(Failure(
-                    board, "t1",
-                    f"reconstruction failed on {format_sequence(seq)}: {exc}"))
+                yield f"reconstruction failed on {format_sequence(seq)}: {exc}"
                 continue
             if rebuilt != p:
-                failures.append(Failure(
-                    board, "t1",
-                    f"sequence {format_sequence(seq)} rebuilt to {format_placement(rebuilt)}, "
-                    f"expected {format_placement(p)}"))
-    return failures
+                yield (f"sequence {format_sequence(seq)} rebuilt to {format_placement(rebuilt)}, "
+                       f"expected {format_placement(p)}")
 
 
-def _check_t2(board: Board) -> list[Failure]:
+def _check_t2(board: Board) -> Iterator[str]:
     # On square-bounded boards the checker-passing sequences are exactly the
     # sequences of avoiding placements.
     if not board.square_bounded():
-        return []
-    failures = []
-    for pattern, avoiders in _split(board, True)[1].items():
+        return
+    for pattern, avoiders in _split(_filled(board, True, True))[1].items():
         realized = {_sequence(board, p) for p in avoiders}
         accepted = set(valid_sequences(board, pattern))
         for seq in sorted(realized - accepted):
-            failures.append(Failure(
-                board, "t2",
-                f"{pattern}-realized sequence {format_sequence(seq)} fails the conditions"))
+            yield f"{pattern}-realized sequence {format_sequence(seq)} fails the conditions"
         for seq in sorted(accepted - realized):
-            failures.append(Failure(
-                board, "t2",
-                f"sequence {format_sequence(seq)} passes the {pattern}-conditions "
-                f"but no avoider realizes it"))
-    return failures
+            yield (f"sequence {format_sequence(seq)} passes the {pattern}-conditions "
+                   f"but no avoider realizes it")
 
 
-def _check_bijection(board: Board, tag: str, sources, targets,
-                     context: CompactionContext | None = None) -> list[Failure]:
+def _check_bijection(board: Board, sources, targets,
+                     context: CompactionContext | None = None) -> Iterator[str]:
     # alpha maps the 231-avoiding sources onto the 312-avoiding targets and
     # beta undoes it, through the core ``_map_full``.  With a compaction
     # class, the placements are full placements of its compact board, the
@@ -561,44 +541,38 @@ def _check_bijection(board: Board, tag: str, sources, targets,
     def show(p) -> str:
         return format_placement(p if context is None else expand(context, p), board)
 
-    failures = []
     images: dict[FullPlacement, None] = {}  # in the order mapped
     for p in sources:
         try:
             q = _map_full(on, p, PATTERN_231)
             back = _map_full(on, q, PATTERN_312)
         except RookbijError as exc:
-            failures.append(Failure(board, tag, f"{f}/{b} failed on {show(p)}: {exc}"))
+            yield f"{f}/{b} failed on {show(p)}: {exc}"
             continue
         images[q] = None
         if back != p:
-            failures.append(Failure(board, tag, f"{b}({f}({show(p)})) = {show(back)}"))
+            yield f"{b}({f}({show(p)})) = {show(back)}"
     wanted = set(targets)
     if images.keys() != wanted:
         stray = ",".join(show(q) for q in images if q not in wanted)
         missed = ",".join(show(q) for q in targets if q not in images)
-        failures.append(Failure(
-            board, tag, f"{f} image has {{{stray}}} outside the targets and misses {{{missed}}}"))
-    return failures
+        yield f"{f} image has {{{stray}}} outside the targets and misses {{{missed}}}"
 
 
-def _check_t4(board: Board) -> list[Failure]:
+def _check_t4(board: Board) -> Iterator[str]:
     # alpha and beta are mutually inverse bijections between the avoider sets,
     # and plus_transform is an involution on realized sequences.  One pass
     # suffices: if beta(alpha(p)) = p for every 231-avoider p and alpha's
     # images are the 312-avoiders, a pass beta then alpha cannot fail.
-    placements, avoiders = _split(board, False)
-    failures = _check_bijection(board, "t4", avoiders[PATTERN_231], avoiders[PATTERN_312])
+    placements, avoiders = _split(_filled(board, True, False))
+    yield from _check_bijection(board, avoiders[PATTERN_231], avoiders[PATTERN_312])
     for p in placements:
         seq = _sequence(board, p)
         try:
             if plus_transform(board, plus_transform(board, seq)) != seq:
-                failures.append(Failure(
-                    board, "t4", f"plus_transform not involutive on {format_sequence(seq)}"))
+                yield f"plus_transform not involutive on {format_sequence(seq)}"
         except RookbijError as exc:
-            failures.append(Failure(
-                board, "t4", f"plus_transform failed on {format_sequence(seq)}: {exc}"))
-    return failures
+            yield f"plus_transform failed on {format_sequence(seq)}: {exc}"
 
 
 def _compaction_classes(board: Board) -> Iterator[CompactionContext]:
@@ -621,27 +595,20 @@ def _compaction_classes(board: Board) -> Iterator[CompactionContext]:
                 yield CompactionContext(cols, rows, _compact_board(board, cols, rows))
 
 
-def _check_remark(board: Board) -> list[Failure]:
-    # Partial placements, one compaction class at a time: a class's
-    # placements are the full placements of its compact board, expanded
-    # through its columns and rows.  Compaction preserves avoidance, so the
-    # general maps are the full maps on the compact board: alpha_general and
-    # beta_general are checked there once, on its own avoiders, shown
-    # through the first class that compacts to it.  Each class tests its
-    # placements on the board and reports avoiders that differ from its
-    # compact board's.  The 231- and 312-avoider counts on the board agree,
-    # the empty placement counted once on each side.  The public compact
-    # runs once per class, cross-checking its board and re-indexing.  The
-    # count line comes first, then each class's failures in (size, columns,
-    # rows) order.
+def _check_remark(board: Board) -> Iterator[str]:
+    # A class's placements are its compact board's full placements, expanded.
+    # Compaction preserves avoidance, so the general maps are the full maps
+    # on the compact board, checked once per compact board and shown through
+    # its first class; each class still tests avoidance on the board itself.
+    # The count line needs every class, so the class failures wait for it.
     counts = {PATTERN_231: 1, PATTERN_312: 1}  # avoiders per pattern, the empty placement too
-    failures = []
+    witnesses: list[str] = []
     splits: dict[tuple[int, ...], tuple] = {}  # per compact heights: placements, avoiders
     for context in _compaction_classes(board):
         on = context.compact_board
         fresh = on.heights not in splits
         if fresh:
-            splits[on.heights] = _split(on, False)
+            splits[on.heights] = _split(_filled(on, True, False))
         fulls, kept = splits[on.heights]
         first = expand(context, fulls[0])
         try:
@@ -649,24 +616,20 @@ def _check_remark(board: Board) -> list[Failure]:
         except RookbijError as exc:
             compacted = exc
         if compacted != (context, fulls[0]):
-            failures.append(Failure(
-                board, "remark", f"compact({format_placement(first, board)}) gave "
-                f"{compacted!r}, its class is {context!r}"))
-        found = _avoiders(board, fulls, context)
-        for pattern, avoiders in found.items():
+            witnesses.append(f"compact({format_placement(first, board)}) gave "
+                             f"{compacted!r}, its class is {context!r}")
+        for pattern, avoiders in _split(_class_flags(board, fulls, context))[1].items():
             counts[pattern] += len(avoiders)
             if avoiders != kept[pattern]:
                 moved = ",".join(format_placement(expand(context, p), board) for p in fulls
                                  if (p in avoiders) != (p in kept[pattern]))
-                failures.append(Failure(
-                    board, "remark", f"compaction changes the {pattern}-avoidance of {{{moved}}}"))
+                witnesses.append(f"compaction changes the {pattern}-avoidance of {{{moved}}}")
         if fresh:
-            failures.extend(_check_bijection(
-                board, "remark", kept[PATTERN_231], kept[PATTERN_312], context))
+            witnesses.extend(_check_bijection(
+                board, kept[PATTERN_231], kept[PATTERN_312], context))
     if counts[PATTERN_231] != counts[PATTERN_312]:
-        failures.insert(0, Failure(board, "remark", f"{counts[PATTERN_231]} placements avoid "
-                                   f"231 but {counts[PATTERN_312]} avoid 312"))
-    return failures
+        yield f"{counts[PATTERN_231]} placements avoid 231 but {counts[PATTERN_312]} avoid 312"
+    yield from witnesses
 
 
 _CHECKS = {
@@ -693,20 +656,20 @@ def _require_tag(theorem: str) -> None:
 def check_board(board: Board, theorem: str) -> list[Failure]:
     """Run one verification check on one board; failures are data, not errors.
 
+    Failures come in the check's order; remark's count line, if any, first.
     Raises ValueError for a theorem tag not in THEOREM_TAGS, and ParseError
     for a board beyond the MAX_SWEEP_N-square sweep box.
     """
     _require_within_sweep_box(board)
     _require_tag(theorem)
-    return _CHECKS[theorem](board)
+    return _board_failures(board, (theorem,))
 
 
 def _board_failures(board: Board, tags: tuple[str, ...]) -> list[Failure]:
-    # ``verify`` refused bad boards and tags before any work.  A fresh copy
-    # of the board keeps what the checks cache on it, so the caches go when
-    # its checks end, not when the sweep does.
-    board = Board(board.heights)
-    return [failure for tag in tags for failure in _CHECKS[tag](board)]
+    # The one place failures are made, from the witnesses each check yields.
+    # The checks cache on ``board``: ``verify`` passes a fresh copy, so the
+    # caches go when its checks end, not when the sweep does.
+    return [Failure(board, tag, witness) for tag in tags for witness in _CHECKS[tag](board)]
 
 
 def _require_sweep_bound(max_n: int) -> None:
@@ -741,10 +704,12 @@ def verify(boards: Board | Iterable[Board], theorem: str = "all",
     ``boards`` may be a single board or an iterable; ``theorem`` is one of
     the tags in THEOREM_TAGS or "all".  ``parallel`` worker processes are
     started, at most one per board and per CPU.  Reports are merged in board
-    order, so output does not depend on ``parallel``.  Raises ParseError,
-    before any check runs, if ``parallel`` is below 1 or a board does not
-    fit in the MAX_SWEEP_N-square box that sweeps are limited to, and
-    ValueError, also before any check runs, for an unknown ``theorem`` tag.
+    order, so output does not depend on ``parallel``; a board's failures
+    come by tag in THEOREM_TAGS order, each check's in its own order,
+    remark's count line first.  Raises ParseError, before any check runs,
+    if ``parallel`` is below 1 or a board does not fit in the
+    MAX_SWEEP_N-square box that sweeps are limited to, and ValueError, also
+    before any check runs, for an unknown ``theorem`` tag.
     """
     _require_workers(parallel)
     if isinstance(boards, Board):
@@ -765,6 +730,6 @@ def verify(boards: Board | Iterable[Board], theorem: str = "all",
             for batch in pool.map(partial(_board_failures, tags=tags), boards):
                 failures.extend(batch)
     else:
-        for board in boards:
-            failures.extend(_board_failures(board, tags))
+        for board in boards:  # a fresh copy, as a worker unpickles from the heights
+            failures.extend(_board_failures(Board(board.heights), tags))
     return SweepReport(len(boards), tuple(failures), perf_counter() - start)

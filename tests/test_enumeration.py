@@ -167,7 +167,7 @@ def test_sweep_avoiders_match_public_avoids_within_5():
     for board in boards_within(5):
         for context in enumeration._compaction_classes(board):
             fulls = list(full_placements(context.compact_board))
-            found = enumeration._avoiders(board, fulls, context)
+            found = enumeration._split(enumeration._class_flags(board, fulls, context))[1]
             for pattern in (PATTERN_231, PATTERN_312):
                 assert found[pattern] == [p for p in fulls
                                           if avoids(board, expand(context, p), pattern)], board
@@ -187,8 +187,8 @@ def test_compaction_classes_split_the_rook_placements_within_5():
                          context.occupied_rows))
             fulls = list(full_placements(context.compact_board))
             expanded += [expand(context, p).markers for p in fulls]
-            for side, avoiders in enumerate(
-                    enumeration._avoiders(board, fulls, context).values()):
+            found = enumeration._split(enumeration._class_flags(board, fulls, context))[1]
+            for side, avoiders in enumerate(found.values()):
                 counts[side] += len(avoiders)
         assert keys == sorted(set(keys)), board
         rooks = [p.markers for p in rook_placements(board)]
@@ -631,6 +631,64 @@ def test_t1_and_t2_report_planted_containment_faults(monkeypatch, heights, patte
     if tag == "t2":
         assert all(f.witness.endswith(f"passes the {pattern}-conditions but no avoider "
                                       "realizes it") for f in failures)
+
+
+def _map_fault(mode, avoided):
+    return enumeration, "_map_full", lambda core: _planted(core, mode, avoided)
+
+
+def _rebuild_fault(module, rebuilt):
+    return module, "_rebuild", lambda core: _wrong_rebuild(core, rebuilt)[0]
+
+
+def _closes_fault(pattern, mode):
+    return enumeration, "_closes", lambda core: _planted_closes(core, pattern, mode)[0]
+
+
+_MISSES_321 = "alpha image has {} outside the targets and misses {321}"
+_UNREPRODUCED = "reconstructed placement does not reproduce the sequence"
+
+
+@pytest.mark.parametrize("tag,fault,witnesses", [
+    ("t4", _map_fault("input", PATTERN_231), ["beta(alpha(123)) = 321", _MISSES_321]),
+    ("t4", _map_fault("raise", PATTERN_231),
+     ["alpha/beta failed on 123: planted fault", _MISSES_321]),
+    ("t4", _map_fault("input", PATTERN_312), ["beta(alpha(123)) = 321"]),
+    ("t4", _map_fault("raise", PATTERN_312),
+     ["alpha/beta failed on 123: planted fault", _MISSES_321]),
+    ("t1", _rebuild_fault(enumeration, PATTERN_231),
+     ["sequence 0,1,2,3,2,1,0 rebuilt to 132, expected 123"]),
+    ("t1", _rebuild_fault(enumeration, PATTERN_312),
+     ["sequence 0,1,2,3,2,1,0 rebuilt to 132, expected 123"]),
+    ("t4", _rebuild_fault(bijection, PATTERN_231), ["beta(alpha(123)) = 132"]),
+    ("t4", _rebuild_fault(bijection, PATTERN_312), ["beta(alpha(123)) = 321", _MISSES_321]),
+    ("t1", _closes_fault(PATTERN_231, "keep"),
+     [f"reconstruction failed on 0,1,2,2,1,1,0: {_UNREPRODUCED}"]),
+    ("t1", _closes_fault(PATTERN_312, "keep"),
+     [f"reconstruction failed on 0,1,1,2,2,1,0: {_UNREPRODUCED}"]),
+    ("t2", _closes_fault(PATTERN_231, "drop"),
+     [f"sequence {seq} passes the 231-conditions but no avoider realizes it"
+      for seq in ("0,1,2,2,2,1,0", "0,1,2,3,2,1,0")]),
+    ("t2", _closes_fault(PATTERN_312, "drop"),
+     [f"sequence {seq} passes the 312-conditions but no avoider realizes it"
+      for seq in ("0,1,2,2,2,1,0", "0,1,2,3,2,1,0")]),
+], ids=["t4-alpha-input", "t4-alpha-raise", "t4-beta-input", "t4-beta-raise",
+        "t1-rebuild-231", "t1-rebuild-312", "t4-rebuild-231", "t4-rebuild-312",
+        "t1-keep-231", "t1-keep-312", "t2-drop-231", "t2-drop-312"])
+def test_planted_faults_give_the_same_failures_through_check_board_and_verify(
+        monkeypatch, tag, fault, witnesses):
+    # The exact failures of each fault the tests above plant, on the 3x3
+    # square, in check order; verify's serial loop gives the same list.  A
+    # planted fault fires once, so each run plants it anew on a fresh board.
+    module, name, plant = fault
+    core = getattr(module, name)
+    runs = []
+    for run in (check_board, lambda board, tag: list(verify(board, tag).failures)):
+        monkeypatch.setattr(module, name, plant(core))
+        runs.append(run(Board((3, 3, 3)), tag))
+    assert [(f.board.heights, f.theorem, f.witness) for f in runs[0]] == \
+        [((3, 3, 3), tag, witness) for witness in witnesses]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])

@@ -208,9 +208,10 @@ def test_tested_placements_match_the_avoids_filter_within_6():
         assert list(enumeration._filled(board, True, False)) == holds, board
         assert list(enumeration._filled(board, True, True)) == \
             [h for h in holds if not (h[1] and h[2])], board
-        assert enumeration._split(board, False) == (fulls, expected), board
+        assert enumeration._split(enumeration._filled(board, True, False)) == \
+            (fulls, expected), board
         either = set(expected[PATTERN_231]) | set(expected[PATTERN_312])
-        assert enumeration._split(board, True) == \
+        assert enumeration._split(enumeration._filled(board, True, True)) == \
             ([p for p in fulls if p in either], expected), board
 
 
