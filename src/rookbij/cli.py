@@ -18,7 +18,7 @@ from .bijection import (
     reconstruct_231,
     reconstruct_312,
 )
-from .board import Board, _int_field, parse_board
+from .board import Board, _conjugate_heights, _int_field, parse_board
 from .conditions import check_231, check_312, format_sequence, parse_sequence
 from .errors import (
     ConditionViolation,
@@ -113,18 +113,15 @@ def cmd_count(args, board: Board) -> _Result:
 def cmd_render(args, board: Board) -> _Result:
     placement = None if args.placement is None else parse_placement(args.placement, board)
     shown = placement if placement is not None else Placement(frozenset())
-    markers = shown.markers
+    # The board is bottom-left justified, so row r is its first widths[r - 1]
+    # squares, and a rook placement puts at most one marker in it.
+    widths = _conjugate_heights(board.heights)
+    marker_col = {row: col for col, row in shown.markers}
     grid = []
     for row in range(board.n_rows, 0, -1):
-        cells = []
-        for col in range(1, board.n_cols + 1):
-            if (col, row) in markers:
-                cells.append("X")
-            elif board.contains_square(col, row):
-                cells.append(".")
-            else:
-                cells.append(" ")
-        grid.append("".join(cells).rstrip())
+        line = "." * widths[row - 1]
+        col = marker_col.get(row)
+        grid.append(line if col is None else f"{line[:col - 1]}X{line[col:]}")
     border = format_sequence(s_sequence(board, shown)) if args.annotate else None
     lines = grid if border is None else [*grid, f"border: {border}"]
 

@@ -244,6 +244,25 @@ def conjugate_by_rows(board: Board) -> Board:
                        for y in range(1, board.n_rows + 1)))
 
 
+def render_by_squares(board: Board, placement) -> list[str]:
+    """The rows of ``render``, top row first, drawn square by square over the
+    whole n_rows x n_cols box: ``X`` on a marker, ``.`` on another square of
+    the board, a space off it, with the trailing spaces stripped."""
+    markers = placement.markers
+    grid = []
+    for row in range(board.n_rows, 0, -1):
+        cells = []
+        for col in range(1, board.n_cols + 1):
+            if (col, row) in markers:
+                cells.append("X")
+            elif board.contains_square(col, row):
+                cells.append(".")
+            else:
+                cells.append(" ")
+        grid.append("".join(cells).rstrip())
+    return grid
+
+
 def border_path_by_steps(board: Board) -> BorderPath:
     """The border path walked one step at a time from the top-left corner:
     right along a column's top, down otherwise, until (n_cols, 0)."""

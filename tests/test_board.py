@@ -32,6 +32,12 @@ def test_parse_board_rejects(text):
         parse_board(text)
 
 
+def test_board_rejects_no_columns():
+    # parse_board refuses empty text first, so only the constructor meets ()
+    with pytest.raises(ParseError, match="^a board needs at least one column$"):
+        Board(())
+
+
 @given(st.text(" \t\u00a0-+_0123456789\u0663\u00b2x", max_size=6))
 def test_int_field_is_whitespace_sign_and_ascii_digits(text):
     expected = int(text) if re.fullmatch(r"\s*-?[0-9]+\s*", text) else None

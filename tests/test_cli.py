@@ -23,15 +23,18 @@ from rookbij.enumeration import (
     boards_within,
     full_placement_count,
     full_placements,
+    rook_placements,
 )
 from rookbij.placement import (
     PATTERN_231,
     FullPlacement,
+    Placement,
     avoids,
     format_placement,
     inverse_placement,
     s_sequence,
 )
+from oracles import render_by_squares
 from strategies import boards, random_231_avoider
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -216,6 +219,53 @@ def test_render_annotate(capsys):
     assert (code, out) == (0, ".\n..\n...\nborder: 0,0,0,0,0,0,0\n")
 
 
+def _assert_render_matches_squares(capsys, board, placement):
+    # text and --json both draw the grid the square-by-square oracle draws
+    argv = ["render", "--board", str(board)]
+    if placement is not None:
+        argv += ["--placement", format_placement(placement, board)]
+    grid = render_by_squares(board, placement or Placement(frozenset()))
+    assert run(capsys, *argv) == (0, "".join(f"{line}\n" for line in grid), ""), argv
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["grid"] == grid, argv
+
+
+def test_render_matches_square_oracle_within_4(capsys):
+    # 69 boards, each bare and with each of its 2,834 rook placements in all
+    for board in boards_within(4):
+        _assert_render_matches_squares(capsys, board, None)
+        for placement in rook_placements(board):
+            _assert_render_matches_squares(capsys, board, placement)
+
+
+@pytest.mark.parametrize("width", [10, 33, 100, 333, 1000])
+def test_render_matches_square_oracle_on_wide_boards(capsys, width):
+    # seeded heights up to 1000, a marker in about half of the columns
+    rng = random.Random(width)
+    heights = sorted((rng.randint(1, 1000) for _ in range(width)), reverse=True)
+    board = Board(tuple(heights))
+    used, markers = set(), []
+    for col, height in enumerate(heights, start=1):
+        row = rng.randint(1, height)
+        if row not in used and rng.random() < 0.5:
+            used.add(row)
+            markers.append((col, row))
+    _assert_render_matches_squares(capsys, board, None)
+    _assert_render_matches_squares(capsys, board, Placement(markers))
+
+
+def test_render_annotates_the_identity_on_the_1000_square_in_a_capped_child():
+    # a million squares, one marker per row: each row is one string of its length
+    board = Board((1000,) * 1000)
+    identity = FullPlacement(range(1, 1001))
+    done = _limited_cli("render", "--board", str(board),
+                        "--placement", format_placement(identity, board), "--annotate", timeout=5)
+    rows = ["." * (r - 1) + "X" + "." * (1000 - r) for r in range(1000, 0, -1)]
+    border = ",".join(map(str, s_sequence(board, identity)))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "".join(f"{row}\n" for row in rows) + f"border: {border}\n"
+
+
 def test_compact_golden(capsys):
     code, out, _ = run(capsys, "compact", "--board", "3,3,3", "--placement", "1:3,3:1")
     assert (code, out) == (0, "cols=1,3 rows=1,3 board=2,2 placement=21\n")
@@ -289,6 +339,9 @@ def test_malformed_inputs_exit_2(capsys):
     # rejected by size before anything is allocated
     assert run(capsys, "sequence", "--board", "9" * 20, "--placement", "")[0] == 2
     assert run(capsys, "sequence", "--board", ",".join(["1"] * 1001), "--placement", "")[0] == 2
+    # a permutation word is refused beyond 9 columns, whatever its letters
+    assert run(capsys, "render", "--board", ",".join(["10"] * 10), "--placement", "1" * 10) == (
+        2, "", "error: permutation words are ambiguous beyond 9 columns; use col:row pairs\n")
     # digits that str.isdigit passes but int() rejects
     assert run(capsys, "sequence", "--board", "1", "--placement", "\u00b2")[0] == 2
     assert run(capsys, "count", "--board", "1", "--pattern", "\u00b2")[0] == 2

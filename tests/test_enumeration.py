@@ -10,7 +10,7 @@ from hypothesis import given
 from rookbij import bijection, cli, enumeration
 from rookbij.bijection import expand
 from rookbij.board import Board
-from rookbij.conditions import format_sequence
+from rookbij.conditions import check_312, format_sequence
 from rookbij.enumeration import (
     boards_within,
     check_board,
@@ -22,7 +22,7 @@ from rookbij.enumeration import (
     valid_sequences,
     verify,
 )
-from rookbij.errors import ParseError, ReconstructionFailure
+from rookbij.errors import InvalidPlacement, ParseError, ReconstructionFailure
 from rookbij.placement import (
     PATTERN_231,
     PATTERN_312,
@@ -34,7 +34,12 @@ from rookbij.placement import (
     pattern_witness,
     s_sequence,
 )
-from oracles import count_avoiders_by_filter, lis_in_rectangle
+from oracles import (
+    avoids_by_border_definition,
+    count_avoiders_by_filter,
+    full_placements_by_backtracking,
+    lis_in_rectangle,
+)
 from strategies import boards
 
 
@@ -69,6 +74,27 @@ def test_full_placements_lexicographic_and_unique():
 ])
 def test_count_avoiders(heights, pattern, count):
     assert count_avoiders(Board(heights), Pattern.parse(pattern)) == count
+
+
+@pytest.mark.parametrize("word", ["132", "213", "2413", "3142"])
+def test_filtered_count_matches_border_definition_within_5(word):
+    # neither 231, 312 nor monotone: count_avoiders filters the full placements
+    pattern = Pattern.parse(word)
+    for board in boards_within(5):
+        expected = sum(1 for p in full_placements_by_backtracking(board)
+                       if avoids_by_border_definition(board, p, pattern))
+        assert count_avoiders(board, pattern) == expected, board
+
+
+@pytest.mark.parametrize("word,counts", [
+    ("132", [1, 2, 5, 14, 42, 132]),  # Catalan numbers
+    ("213", [1, 2, 5, 14, 42, 132]),
+    ("2413", [1, 2, 6, 23, 103, 512]),  # separable permutations
+])
+def test_filtered_count_on_squares_is_the_permutation_count(word, counts):
+    # on the n x n square every permutation fits and every witness is on the board
+    pattern = Pattern.parse(word)
+    assert [count_avoiders(Board((n,) * n), pattern) for n in range(1, 7)] == counts
 
 
 def test_count_budgets_stop_the_sequence_search_and_the_shape_walk(monkeypatch):
@@ -128,6 +154,8 @@ def test_boards_within_order_and_filters():
     assert [b.heights for b in boards_within(1)] == [(1,)]
     assert [b.heights for b in boards_within(2, square_bounded_only=True)] == [
         (1,), (2, 1), (2, 2)]
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        next(boards_within(0))
 
 
 def test_boards_within_counts():
@@ -465,15 +493,19 @@ def _planted(original, mode, avoided):
 
 def _wrong_rebuild(original, rebuilt):
     """``original``, the core ``_rebuild``, returning some other full
-    placement the first time it rebuilds a ``rebuilt``-avoider."""
+    placement the first time it rebuilds a ``rebuilt``-avoider on a board
+    that has another one."""
     planted = []
 
     def wrong(board, seq, pattern):
         result = original(board, seq, pattern)
         if planted or pattern != rebuilt:
             return result
+        other = next((p for p in full_placements(board) if p != result), None)
+        if other is None:
+            return result
         planted.append(seq)
-        return next(p for p in full_placements(board) if p != result)
+        return other
 
     return wrong, planted
 
@@ -645,49 +677,108 @@ def _closes_fault(pattern, mode):
     return enumeration, "_closes", lambda core: _planted_closes(core, pattern, mode)[0]
 
 
+def _shared_sequence_fault():
+    # every placement reads the sequence of the board's first full placement
+    def shared(core):
+        return lambda board, p: core(board, next(full_placements(board)))
+
+    return enumeration, "_sequence", shared
+
+
+def _swapped_checker_fault():
+    # the 231-conditions with the 312 diagonal inequality
+    return enumeration, "check_231", lambda core: check_312
+
+
+def _off_by_one_plus_fault():
+    # s -> N - s, one short of plus_transform's N + 1 - s
+    def off_by_one(core):
+        return lambda board, seq: tuple(n - s if s else 0
+                                        for s, n in zip(seq, board.marker_count_profile))
+
+    return enumeration, "plus_transform", off_by_one
+
+
+def _raising_compact_fault():
+    def raising(core):
+        def compact(board, placement):
+            raise InvalidPlacement("planted fault")
+
+        return compact
+
+    return enumeration, "compact", raising
+
+
 _MISSES_321 = "alpha image has {} outside the targets and misses {321}"
 _UNREPRODUCED = "reconstructed placement does not reproduce the sequence"
+_3X3 = (3, 3, 3)
+_REMARK_MISSES_12 = "alpha_general image has {} outside the targets and misses {1:2,2:1}"
 
 
-@pytest.mark.parametrize("tag,fault,witnesses", [
-    ("t4", _map_fault("input", PATTERN_231), ["beta(alpha(123)) = 321", _MISSES_321]),
-    ("t4", _map_fault("raise", PATTERN_231),
+# The faults the tests above plant, on the 3x3 square; then each witness
+# kind none of them shows, on the smallest board that shows it; then the
+# rebuild faults under remark, whose compact boards include 1x1 and 2,1 with
+# one full placement each.
+@pytest.mark.parametrize("heights,tag,fault,witnesses", [
+    (_3X3, "t4", _map_fault("input", PATTERN_231), ["beta(alpha(123)) = 321", _MISSES_321]),
+    (_3X3, "t4", _map_fault("raise", PATTERN_231),
      ["alpha/beta failed on 123: planted fault", _MISSES_321]),
-    ("t4", _map_fault("input", PATTERN_312), ["beta(alpha(123)) = 321"]),
-    ("t4", _map_fault("raise", PATTERN_312),
+    (_3X3, "t4", _map_fault("input", PATTERN_312), ["beta(alpha(123)) = 321"]),
+    (_3X3, "t4", _map_fault("raise", PATTERN_312),
      ["alpha/beta failed on 123: planted fault", _MISSES_321]),
-    ("t1", _rebuild_fault(enumeration, PATTERN_231),
+    (_3X3, "t1", _rebuild_fault(enumeration, PATTERN_231),
      ["sequence 0,1,2,3,2,1,0 rebuilt to 132, expected 123"]),
-    ("t1", _rebuild_fault(enumeration, PATTERN_312),
+    (_3X3, "t1", _rebuild_fault(enumeration, PATTERN_312),
      ["sequence 0,1,2,3,2,1,0 rebuilt to 132, expected 123"]),
-    ("t4", _rebuild_fault(bijection, PATTERN_231), ["beta(alpha(123)) = 132"]),
-    ("t4", _rebuild_fault(bijection, PATTERN_312), ["beta(alpha(123)) = 321", _MISSES_321]),
-    ("t1", _closes_fault(PATTERN_231, "keep"),
+    (_3X3, "t4", _rebuild_fault(bijection, PATTERN_231), ["beta(alpha(123)) = 132"]),
+    (_3X3, "t4", _rebuild_fault(bijection, PATTERN_312), ["beta(alpha(123)) = 321", _MISSES_321]),
+    (_3X3, "t1", _closes_fault(PATTERN_231, "keep"),
      [f"reconstruction failed on 0,1,2,2,1,1,0: {_UNREPRODUCED}"]),
-    ("t1", _closes_fault(PATTERN_312, "keep"),
+    (_3X3, "t1", _closes_fault(PATTERN_312, "keep"),
      [f"reconstruction failed on 0,1,1,2,2,1,0: {_UNREPRODUCED}"]),
-    ("t2", _closes_fault(PATTERN_231, "drop"),
+    (_3X3, "t2", _closes_fault(PATTERN_231, "drop"),
      [f"sequence {seq} passes the 231-conditions but no avoider realizes it"
       for seq in ("0,1,2,2,2,1,0", "0,1,2,3,2,1,0")]),
-    ("t2", _closes_fault(PATTERN_312, "drop"),
+    (_3X3, "t2", _closes_fault(PATTERN_312, "drop"),
      [f"sequence {seq} passes the 312-conditions but no avoider realizes it"
       for seq in ("0,1,2,2,2,1,0", "0,1,2,3,2,1,0")]),
+    ((2, 2), "t1", _shared_sequence_fault(),
+     [f"placements 12 and 21 ({pattern}-avoiding) share sequence 0,1,2,1,0"
+      for pattern in (PATTERN_231, PATTERN_312)]),
+    (_3X3, "t2", _swapped_checker_fault(),
+     ["231-realized sequence 0,1,1,2,2,1,0 fails the conditions"]),
+    ((1,), "t4", _off_by_one_plus_fault(), ["plus_transform not involutive on 0,1,0"]),
+    ((1,), "remark", _raising_compact_fault(),
+     [f"compact(1) gave InvalidPlacement('planted fault'), its class is "
+      f"{bijection.CompactionContext((1,), (1,), Board((1,)))!r}"]),
+    ((2, 2), "remark", _rebuild_fault(bijection, PATTERN_231),
+     ["beta_general(alpha_general(12)) = 21"]),
+    ((2, 2), "remark", _rebuild_fault(bijection, PATTERN_312),
+     ["beta_general(alpha_general(12)) = 21",
+      "alpha_general image has {} outside the targets and misses {21}"]),
+    (_3X3, "remark", _rebuild_fault(bijection, PATTERN_231),
+     ["beta_general(alpha_general(1:1,2:2)) = 1:2,2:1"]),
+    (_3X3, "remark", _rebuild_fault(bijection, PATTERN_312),
+     ["beta_general(alpha_general(1:1,2:2)) = 1:2,2:1", _REMARK_MISSES_12]),
 ], ids=["t4-alpha-input", "t4-alpha-raise", "t4-beta-input", "t4-beta-raise",
         "t1-rebuild-231", "t1-rebuild-312", "t4-rebuild-231", "t4-rebuild-312",
-        "t1-keep-231", "t1-keep-312", "t2-drop-231", "t2-drop-312"])
+        "t1-keep-231", "t1-keep-312", "t2-drop-231", "t2-drop-312",
+        "t1-shared-sequence", "t2-swapped-checker", "t4-off-by-one-plus", "remark-compact-raise",
+        "remark-rebuild-231-2x2", "remark-rebuild-312-2x2",
+        "remark-rebuild-231-3x3", "remark-rebuild-312-3x3"])
 def test_planted_faults_give_the_same_failures_through_check_board_and_verify(
-        monkeypatch, tag, fault, witnesses):
-    # The exact failures of each fault the tests above plant, on the 3x3
-    # square, in check order; verify's serial loop gives the same list.  A
-    # planted fault fires once, so each run plants it anew on a fresh board.
+        monkeypatch, heights, tag, fault, witnesses):
+    # The exact failures in check order; verify's serial loop gives the same
+    # list.  A planted fault may fire once, so each run plants it anew on a
+    # fresh board.
     module, name, plant = fault
     core = getattr(module, name)
     runs = []
     for run in (check_board, lambda board, tag: list(verify(board, tag).failures)):
         monkeypatch.setattr(module, name, plant(core))
-        runs.append(run(Board((3, 3, 3)), tag))
+        runs.append(run(Board(heights), tag))
     assert [(f.board.heights, f.theorem, f.witness) for f in runs[0]] == \
-        [((3, 3, 3), tag, witness) for witness in witnesses]
+        [(heights, tag, witness) for witness in witnesses]
     assert runs[0] == runs[1]
 
 
