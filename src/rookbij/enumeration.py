@@ -79,10 +79,11 @@ def full_placements(board: Board) -> Iterator[FullPlacement]:
 def _filled(board: Board, tested: bool, prune: bool) -> Iterator:
     """``full_placements``' loop.  ``tested``: each placement comes as
     (placement, holds 231, holds 312), on-board occurrences, from flags
-    kept per prefix: ``_closes`` tests each marker once as it joins a
-    prefix, for every placement sharing that prefix, and a prefix holding
-    both skips the test.  ``prune``: a prefix holding both is dropped, with
-    every placement through it, so only the avoiders of either come out.
+    kept per prefix: ``_closes`` takes the prefix's flags as a marker joins
+    it and returns them with that marker's answer folded in, once for every
+    placement sharing the prefix, and a prefix holding both skips it.
+    ``prune``: a prefix holding both is dropped, with every placement
+    through it, so only the avoiders of either come out.
     """
     if not board.admits_full_placement():
         return
@@ -103,9 +104,7 @@ def _filled(board: Board, tested: bool, prune: bool) -> Iterator:
         if tested:
             has_231, has_312 = held[col]
             if not (has_231 and has_312):
-                found_231, found_312 = _closes(perm, row, heights[col])
-                has_231 = has_231 or found_231
-                has_312 = has_312 or found_312
+                has_231, has_312 = _closes(perm, row, heights[col], has_231, has_312)
                 if prune and has_231 and has_312:
                     continue
             held[col + 1] = has_231, has_312
@@ -116,9 +115,7 @@ def _filled(board: Board, tested: bool, prune: bool) -> Iterator:
             continue
         # The last column takes the one free row left, if any, at once.
         if tested and free and not (has_231 and has_312):
-            found_231, found_312 = _closes(perm, free[0], heights[-1])
-            has_231 = has_231 or found_231
-            has_312 = has_312 or found_312
+            has_231, has_312 = _closes(perm, free[0], heights[-1], has_231, has_312)
             if prune and has_231 and has_312:
                 continue
         placement = FullPlacement(perm + free)
@@ -455,18 +452,16 @@ def _check_l1(board: Board) -> Iterator[str]:
 def _class_flags(board: Board, fulls: Iterable[FullPlacement],
                  context: CompactionContext) -> Iterator:
     # Remark's class test: each full placement of a class's compact board,
-    # expanded onto the board, as (placement, holds 231, holds 312), tested
-    # unchecked by ``_closes`` on each marker in column order until both
-    # patterns are found.
+    # expanded onto the board, as (placement, holds 231, holds 312): unchecked,
+    # ``_closes`` folds each marker, in column order, into the flags of the
+    # markers before it until both patterns are found.
     heights = board.heights
     cols, lift = context.occupied_cols, (0,) + context.occupied_rows  # lift[r]: board row of r
     for p in fulls:
         rows: list[int] = []
         has_231 = has_312 = False
         for col, row in zip(cols, [lift[r] for r in p.perm]):
-            found_231, found_312 = _closes(rows, row, heights[col - 1])
-            has_231 = has_231 or found_231
-            has_312 = has_312 or found_312
+            has_231, has_312 = _closes(rows, row, heights[col - 1], has_231, has_312)
             if has_231 and has_312:
                 break
             rows.append(row)

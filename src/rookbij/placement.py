@@ -223,11 +223,13 @@ def _first_marker(heights: tuple[int, ...], markers: tuple[tuple[int, int], ...]
     return None
 
 
-def _closes(rows: list[int], row: int, height: int) -> tuple[bool, bool]:
-    """Whether a marker at ``row``, in a new last column ``height`` rows
-    tall, completes an on-board 231 (as the witness's last and lowest
-    marker) and an on-board 312 (as its last, middle-row marker) with
-    earlier markers at ``rows``, listed in column order.
+def _closes(rows: list[int], row: int, height: int,
+            has_231: bool, has_312: bool) -> tuple[bool, bool]:
+    """The flags ``has_231`` and ``has_312`` of earlier markers at ``rows``,
+    listed in column order, each also set when a marker at ``row`` in a new
+    last column ``height`` rows tall completes an on-board 231 (as the
+    witness's last and lowest marker) or 312 (as its last, middle-row
+    marker) with them.
 
     A witness ending in the new column has its bounding square on the board
     exactly when its highest row is at most ``height``, so higher rows take
@@ -237,17 +239,16 @@ def _closes(rows: list[int], row: int, height: int) -> tuple[bool, bool]:
     over a placement's markers in column order finds both patterns.
     """
     least = height + 1  # the least earlier row in (row, height] so far
-    found_231 = found_312 = False
     for r in rows:
         if r < row:
             if least <= height:
-                found_312 = True
+                has_312 = True
         elif r <= height:
             if r > least:
-                found_231 = True
+                has_231 = True
             else:
                 least = r
-    return found_231, found_312
+    return has_231, has_312
 
 
 def avoids(board: Board, placement, pattern: Pattern) -> bool:

@@ -1,12 +1,13 @@
 import inspect
 import random
+import re
 import sys
 import threading
 
 import pytest
 from hypothesis import given
 
-from rookbij import bijection
+from rookbij import bijection, cli
 from rookbij.bijection import (
     alpha,
     alpha_general,
@@ -391,6 +392,20 @@ def test_reconstruct_self_checks_a_wrong_rebuild(monkeypatch, reconstruct, patte
             reconstruct(target, seq)
     # a failed self-check keeps the wrong placement's true sequence only
     assert fresh._sequences == {wrong: s_sequence(board, wrong)}
+
+
+def test_reconstruct_reports_an_off_board_rebuild(monkeypatch, capsys):
+    # A 312 rebuild whose row inversion gives the identity puts the last
+    # column's marker above the board; the placement check's InvalidPlacement
+    # comes out as a ReconstructionFailure, which the CLI reports with exit 1,
+    # not as bad input with exit 2.
+    monkeypatch.setattr(bijection, "_reflect", lambda perm: tuple(range(1, len(perm) + 1)))
+    message = "marker (3,3) is outside the board"
+    with pytest.raises(ReconstructionFailure, match=rf"^{re.escape(message)}$"):
+        reconstruct_312(Board((3, 2, 1)), (0, 1, 0, 1, 0, 1, 0))
+    code = cli.main(["reconstruct", "--board", "3,2,1", "--seq", "0,1,0,1,0,1,0",
+                     "--pattern", "312"])
+    assert (code, capsys.readouterr().out) == (1, message + "\n")
 
 
 def test_public_maps_take_no_flags():

@@ -289,6 +289,17 @@ def test_verify_single_board(capsys):
     assert "t4" in out and "0" in out
 
 
+def test_verify_board_ignores_max_n_but_checks_and_echoes_it(capsys):
+    # --board checks that one board for each tag; a --max-n beside it sweeps
+    # nothing, but is still range-checked and echoed in --json
+    code, out, _ = run(capsys, "verify", "--board", "3,3,3", "--max-n", "3", "--json")
+    report = json.loads(out)
+    assert (code, report["max_n"], report["board"]) == (0, 3, [3, 3, 3])
+    assert [r["boards"] for r in report["reports"]] == [1] * len(THEOREM_TAGS)
+    assert run(capsys, "verify", "--board", "3,3,3", "--max-n", "10") == (
+        2, "", "error: --max-n must be at most 9, a sweep of 48,619 boards\n")
+
+
 def test_verify_sweep_small(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "3")
     assert code == 0

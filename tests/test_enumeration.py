@@ -614,13 +614,13 @@ def test_remark_reports_a_class_whose_avoidance_differs_from_its_compact_board(m
     original = enumeration._closes
     asked = []
 
-    def wrong(rows, row, height):
-        found_231, found_312 = original(rows, row, height)
+    def wrong(rows, row, height, has_231, has_312):
+        found_231, found_312 = original(rows, row, height, False, False)
         if (rows, row, height) == ([1], 3, 3):
             asked.append(rows)
             if len(asked) == 2:
-                return True, found_312
-        return found_231, found_312
+                found_231 = True
+        return has_231 or found_231, has_312 or found_312
 
     monkeypatch.setattr(enumeration, "_closes", wrong)
     assert [f.witness for f in check_board(board, "remark")] == [
@@ -629,18 +629,19 @@ def test_remark_reports_a_class_whose_avoidance_differs_from_its_compact_board(m
 
 
 def _planted_closes(original, pattern, mode):
-    """``original``, the core ``_closes``, with one fault planted in its
-    answer for ``pattern``: "keep" misses the first occurrence it would
-    find, "drop" finds one on the first call that would find none."""
+    """``original``, the core ``_closes``, with one fault planted in the new
+    marker's own answer for ``pattern``: "keep" misses the first occurrence
+    it would find, "drop" finds one on the first call that would find none.
+    The held flags are ORed in after the fault."""
     side = (PATTERN_231, PATTERN_312).index(pattern)
     planted = []
 
-    def faulty(rows, row, height):
-        found = list(original(rows, row, height))
+    def faulty(rows, row, height, has_231, has_312):
+        found = list(original(rows, row, height, False, False))
         if not planted and found[side] == (mode == "keep"):
             planted.append((list(rows), row, height))
             found[side] = not found[side]
-        return tuple(found)
+        return has_231 or found[0], has_312 or found[1]
 
     return faulty, planted
 
@@ -780,6 +781,26 @@ def test_planted_faults_give_the_same_failures_through_check_board_and_verify(
     assert [(f.board.heights, f.theorem, f.witness) for f in runs[0]] == \
         [(heights, tag, witness) for witness in witnesses]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("tag,fault,count", [
+    ("t1", _shared_sequence_fault(), 20),
+    ("t2", _swapped_checker_fault(), 1),
+    ("t4", _off_by_one_plus_fault(), 19),
+    ("remark", _raising_compact_fault(), 155),
+], ids=["t1-shared-sequence", "t2-swapped-checker", "t4-off-by-one-plus",
+        "remark-compact-raise"])
+def test_verify_parallel_gives_the_serial_failures_in_order(monkeypatch, tag, fault, count):
+    # Faults that fire on every call, so each worker's copy fires as the
+    # serial run's does.  The patches reach the workers only under the fork
+    # start method, Linux's default; two CPUs let the pool start on any host.
+    module, name, plant = fault
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    sweep = list(boards_within(3, square_bounded_only=tag != "remark"))
+    serial = verify(sweep, tag)
+    assert len(serial.failures) == count
+    assert verify(sweep, tag, parallel=2).failures == serial.failures
 
 
 @pytest.mark.parametrize("heights", [(3, 3, 3), (4, 4, 3, 2)])

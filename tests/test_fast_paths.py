@@ -181,16 +181,20 @@ def test_length_3_witness_matches_scan_within_5(pattern):
 
 def test_closes_matches_scan_on_prefixes_within_5():
     # each marker of every full placement within 5x5, against the markers
-    # before it
+    # before it, under each pair of flags those markers may hold: the scan's
+    # answer for the marker, with the held flags ORed in
+    held_pairs = [(h231, h312) for h231 in (False, True) for h312 in (False, True)]
     cases = 0
     for board in boards_within(5, full_only=True):
         for p in full_placements(board):
             for k, row in enumerate(p.perm):
-                cases += 1
                 rows = list(p.perm[:k])
-                assert _closes(rows, row, board.heights[k]) == \
-                    closes_by_scan(rows, row, board.heights[k]), (board, p, k)
-    assert cases == 5_197
+                found_231, found_312 = closes_by_scan(rows, row, board.heights[k])
+                for has_231, has_312 in held_pairs:
+                    cases += 1
+                    assert _closes(rows, row, board.heights[k], has_231, has_312) == \
+                        (has_231 or found_231, has_312 or found_312), (board, p, k)
+    assert cases == 4 * 5_197
 
 
 def test_tested_placements_match_the_avoids_filter_within_6():
